@@ -1,195 +1,12 @@
-(* The benchmark harness.
+(* The benchmark harness: regenerates every table and figure of the
+   paper's evaluation (the same registry `bin/experiments.exe` exposes) —
+   the output EXPERIMENTS.md records against the paper — and writes the
+   sweep's wall times plus deterministic occupancy and retired-instruction
+   counts as machine-readable JSON. *)
 
-   Part 1 regenerates every table and figure of the paper's evaluation (the
-   same registry `bin/experiments.exe` exposes) — this is the output that
-   EXPERIMENTS.md records against the paper.
-
-   Part 2 times one representative kernel per table/figure with Bechamel, so
-   regressions in the harness itself are visible: each kernel is the
-   dominant simulation workload behind the corresponding experiment, scaled
-   to microbenchmark size. *)
-
-open Bechamel
-open Toolkit
-
-(* --- part 2: one Bechamel kernel per table/figure -------------------------- *)
-
-let compile_once workload = Workload.compile workload
-
-let pt_compiled = lazy (compile_once Registry.print_tokens)
-let pt2_ccured =
-  lazy (Workload.compile ~detector:Codegen.Ccured ~bug:10 Registry.print_tokens2)
-let sched_compiled = lazy (compile_once Registry.schedule)
-
-let run_engine ?(mode = Pe_config.Standard) compiled (workload : Workload.t) =
-  let machine =
-    Machine.create ~input:workload.Workload.default_input
-      compiled.Compile.program
-  in
-  Engine.run ~config:(Workload.pe_config ~mode workload) machine
-
-let bench_fig1 () =
-  (* one detection run of the Figure 1 bug under CCured + PathExpander *)
-  run_engine (Lazy.force pt2_ccured) Registry.print_tokens2
-
-let bench_fig3 () =
-  (* the crash-latency collection kernel: cold-edge spawning, no fixing *)
-  let compiled = Lazy.force sched_compiled in
-  let machine =
-    Machine.create ~input:Registry.schedule.Workload.default_input
-      compiled.Compile.program
-  in
-  Engine.run ~config:Pe_config.latency_study machine
-
-let bench_tab2 () = Machine_config.to_rows Machine_config.default
-
-let bench_tab3 () =
-  (* Table 3's LOC column: source generation + line counting *)
-  List.map Workload.loc Registry.buggy_apps
-
-let bench_tab4 () =
-  (* one bug-detection verdict *)
-  let compiled = Lazy.force pt2_ccured in
-  let machine =
-    Machine.create ~input:Registry.print_tokens2.Workload.default_input
-      compiled.Compile.program
-  in
-  let result =
-    Engine.run ~config:(Workload.pe_config Registry.print_tokens2) machine
-  in
-  ignore result;
-  Analysis.analyze ~compiled ~machine
-    ~bug:(Workload.find_bug Registry.print_tokens2 10)
-
-let tab5_nofix =
-  lazy
-    (Workload.compile ~detector:Codegen.Ccured ~fixing:false ~bug:10
-       Registry.print_tokens2)
-
-let bench_tab5 () =
-  (* the before-fixing configuration of Table 5 *)
-  let compiled = Lazy.force tab5_nofix in
-  let machine =
-    Machine.create ~input:Registry.print_tokens2.Workload.default_input
-      compiled.Compile.program
-  in
-  let config =
-    { (Workload.pe_config Registry.print_tokens2) with Pe_config.fixing = false }
-  in
-  Engine.run ~config machine
-
-let bench_cov1 () =
-  (* a coverage measurement run *)
-  run_engine (Lazy.force pt_compiled) Registry.print_tokens
-
-let cov2_rng = Rng.create 5
-
-let bench_cov2 () =
-  (* one generated-input run of the cumulative-coverage loop *)
-  let compiled = Lazy.force pt_compiled in
-  let input = Registry.print_tokens.Workload.gen_input cov2_rng in
-  let machine = Machine.create ~input compiled.Compile.program in
-  Engine.run ~config:(Workload.pe_config Registry.print_tokens) machine
-
-let bench_ovh1 () =
-  (* the CMP-option run of the overhead table *)
-  run_engine ~mode:Pe_config.Cmp (Lazy.force sched_compiled) Registry.schedule
-
-let bench_ovh2 () =
-  (* the software-PathExpander run of the HW/SW comparison *)
-  let compiled = Lazy.force pt_compiled in
-  let machine =
-    Machine.create ~input:Registry.print_tokens.Workload.default_input
-      compiled.Compile.program
-  in
-  Soft_engine.run ~config:(Workload.pe_config Registry.print_tokens) machine
-
-let bench_par1 () =
-  (* one sweep point of the parameter study *)
-  let compiled = Lazy.force sched_compiled in
-  let machine =
-    Machine.create ~input:Registry.schedule.Workload.default_input
-      compiled.Compile.program
-  in
-  let config =
-    {
-      (Workload.pe_config Registry.schedule) with
-      Pe_config.nt_counter_threshold = 8;
-    }
-  in
-  Engine.run ~config machine
-
-let bench_abl1 () =
-  (* the forced-edge ablation configuration *)
-  let compiled = Lazy.force sched_compiled in
-  let machine =
-    Machine.create ~input:Registry.schedule.Workload.default_input
-      compiled.Compile.program
-  in
-  let config =
-    {
-      (Workload.pe_config Registry.schedule) with
-      Pe_config.follow_nontaken_in_nt = true;
-    }
-  in
-  Engine.run ~config machine
-
-let kernels =
-  Test.make_grouped ~name:"pathexpander"
-    [
-      Test.make ~name:"fig1-detection-run" (Staged.stage bench_fig1);
-      Test.make ~name:"fig3-latency-study" (Staged.stage bench_fig3);
-      Test.make ~name:"tab2-config-rows" (Staged.stage bench_tab2);
-      Test.make ~name:"tab3-loc-count" (Staged.stage bench_tab3);
-      Test.make ~name:"tab4-bug-verdict" (Staged.stage bench_tab4);
-      Test.make ~name:"tab5-before-fixing" (Staged.stage bench_tab5);
-      Test.make ~name:"cov1-coverage-run" (Staged.stage bench_cov1);
-      Test.make ~name:"cov2-generated-input" (Staged.stage bench_cov2);
-      Test.make ~name:"ovh1-cmp-run" (Staged.stage bench_ovh1);
-      Test.make ~name:"ovh2-software-pe" (Staged.stage bench_ovh2);
-      Test.make ~name:"par1-sweep-point" (Staged.stage bench_par1);
-      Test.make ~name:"abl1-forced-edges" (Staged.stage bench_abl1);
-    ]
-
-let run_bechamel ~quota () =
-  print_endline "\n=== Bechamel micro-benchmarks (one kernel per table/figure) ===";
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second quota) ~kde:None () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] kernels in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let ns =
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> est
-          | Some _ | None -> nan
-        in
-        (name, ns) :: acc)
-      results []
-    |> List.sort compare
-  in
-  Table.print
-    ~aligns:[ Table.Left; Table.Right ]
-    ~header:[ "kernel"; "time per run" ]
-    (List.map
-       (fun (name, ns) ->
-         let human =
-           if Float.is_nan ns then "-"
-           else if ns > 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
-           else if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-           else if ns > 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-           else Printf.sprintf "%.0f ns" ns
-         in
-         [ name; human ])
-       rows);
-  rows
-
-(* Machine-readable benchmark trajectory: per-kernel ns/op from Bechamel plus
-   the wall time of one full serial reproduction sweep, as sorted-key JSON.
-   CI uploads this as an artifact so per-PR regressions are visible.
+(* Machine-readable benchmark trajectory: the wall time of one full serial
+   reproduction sweep plus deterministic work counts, as JSON. CI uploads
+   this as an artifact so per-PR regressions are visible.
 
    [bench_schema_version] stamps the file so downstream comparisons can tell
    layouts apart; bump it whenever a key is added, removed or re-meaninged.
@@ -211,16 +28,11 @@ let run_bechamel ~quota () =
    registry workload — retired by the selective fast tier) and
    [memo_hit_rate] (fraction of primary-L1 probes answered by the MRU
    memo layer in the same runs). Both are deterministic, so CI gates on
-   them directly rather than on a noisy wall time. Version 7 added the
-   result-cache axis: [warm_sweep_wall_s] (min wall time, over the same
-   repeat count, of one full serial sweep served entirely from the
-   content-addressed result cache after a cold populating sweep — the
-   in-memory tier is cleared before every repeat, so this measures the
-   disk tier a fresh warm process would hit), [warm_sweep_runs_s] (every
-   repeat) and [cache_hit_rate] (cache hits over probes across the warm
-   repeats; 1.0 when every leg replays). All three are null when the
-   cache is disabled with PEXP_RESULT_CACHE=0. *)
-let bench_schema_version = 7
+   them directly rather than on a noisy wall time. Version 7 added a
+   result-cache axis ([warm_sweep_wall_s], [warm_sweep_runs_s],
+   [cache_hit_rate]); version 8 is version 7 minus [kernels_ns] (the
+   per-kernel micro-benchmark timings), [warm_*] and [cache_hit_rate]. *)
+let bench_schema_version = 8
 
 (* Dynamic retired instructions of one plain-CPU run per registry workload
    (default input, default compile options) at the given level — the -O2
@@ -283,7 +95,7 @@ let variance a =
     ss /. float_of_int (n - 1)
   end
 
-let write_json ~path ~sweep_walls ~o2_walls ~warm ~baseline ~jobs rows =
+let write_json ~path ~sweep_walls ~o2_walls ~baseline ~jobs =
   let sorted = Array.copy sweep_walls in
   Array.sort compare sorted;
   let sweep_wall_s = sorted.(0) in
@@ -292,17 +104,10 @@ let write_json ~path ~sweep_walls ~o2_walls ~warm ~baseline ~jobs rows =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{";
   Buffer.add_string buf
-    (Printf.sprintf {|"schema":%d,"jobs":%d,"profile":"%s","kernels_ns":{|}
+    (Printf.sprintf {|"schema":%d,"jobs":%d,"profile":"%s"|}
        bench_schema_version jobs Build_info.profile);
-  List.iteri
-    (fun i (name, ns) ->
-      if i > 0 then Buffer.add_char buf ',';
-      if Float.is_nan ns then
-        Buffer.add_string buf (Printf.sprintf {|"%s":null|} name)
-      else Buffer.add_string buf (Printf.sprintf {|"%s":%.1f|} name ns))
-    (List.sort compare rows);
   Buffer.add_string buf
-    (Printf.sprintf {|},"sweep_wall_s":%.3f|} sweep_wall_s);
+    (Printf.sprintf {|,"sweep_wall_s":%.3f|} sweep_wall_s);
   Buffer.add_string buf
     (Printf.sprintf {|,"sweep_wall_median_s":%.3f|} (median sorted));
   Buffer.add_string buf
@@ -323,24 +128,6 @@ let write_json ~path ~sweep_walls ~o2_walls ~warm ~baseline ~jobs rows =
       Buffer.add_string buf (Printf.sprintf "%.3f" w))
     o2_walls;
   Buffer.add_char buf ']';
-  (match warm with
-   | None ->
-     Buffer.add_string buf
-       {|,"warm_sweep_wall_s":null,"warm_sweep_runs_s":null,"cache_hit_rate":null|}
-   | Some (warm_walls, hit_rate) ->
-     let w = Array.copy warm_walls in
-     Array.sort compare w;
-     Buffer.add_string buf
-       (Printf.sprintf {|,"warm_sweep_wall_s":%.3f|} w.(0));
-     Buffer.add_string buf {|,"warm_sweep_runs_s":[|};
-     Array.iteri
-       (fun i t ->
-         if i > 0 then Buffer.add_char buf ',';
-         Buffer.add_string buf (Printf.sprintf "%.3f" t))
-       warm_walls;
-     Buffer.add_char buf ']';
-     Buffer.add_string buf
-       (Printf.sprintf {|,"cache_hit_rate":%.4f|} hit_rate));
   let o0 = retired_insns Opt.O0 and o2 = retired_insns Opt.O2 in
   let total l = List.fold_left (fun acc (_, n) -> acc + n) 0 l in
   let t0 = total o0 and t2 = total o2 in
@@ -366,18 +153,10 @@ let write_json ~path ~sweep_walls ~o2_walls ~warm ~baseline ~jobs rows =
   let oc = open_out path in
   output_string oc (Buffer.contents buf);
   close_out oc;
-  let warm_note =
-    match warm with
-    | None -> "result cache disabled"
-    | Some (warm_walls, hit_rate) ->
-      let w = Array.copy warm_walls in
-      Array.sort compare w;
-      Printf.sprintf "warm sweep min %.3fs, hit rate %.2f" w.(0) hit_rate
-  in
   Printf.printf
-    "\nwrote %s (sweep min %.2fs, -O2 leg %.2fs, %s, over %d run%s, %s \
+    "\nwrote %s (sweep min %.2fs, -O2 leg %.2fs, over %d run%s, %s \
      profile; retired-insn reduction %.2f%%)\n"
-    path sweep_wall_s o2_sorted.(0) warm_note
+    path sweep_wall_s o2_sorted.(0)
     (Array.length sweep_walls)
     (if Array.length sweep_walls = 1 then "" else "s")
     Build_info.profile
@@ -388,8 +167,7 @@ let write_json ~path ~sweep_walls ~o2_walls ~warm ~baseline ~jobs rows =
    only the untraced configuration is comparable against historical BENCH
    files. [level] pins the optimizer level every compilation in the sweep
    uses (the -O2 leg of the trajectory); the process default is restored
-   afterwards so Bechamel kernels keep benchmarking the reference
-   emission. *)
+   afterwards. *)
 let timed_sweep ?(level = Opt.O0) ~trace_dir () =
   Opt.set_default level;
   Fun.protect
@@ -406,23 +184,9 @@ let timed_sweep ?(level = Opt.O0) ~trace_dir () =
          Printf.eprintf "traces: %d runs -> %s\n%!" (List.length files) dir);
       Unix.gettimeofday () -. t0)
 
-(* One timed full serial sweep served from the result cache (the caller has
-   already populated it). The in-memory tier is cleared first, so every
-   repeat measures the disk tier a fresh warm process would hit, not a
-   hashtable lookup. *)
-let timed_cached_sweep ~cache () =
-  Resultcache.clear_memory cache;
-  let t0 = Unix.gettimeofday () in
-  let (_ : (string * string) list * (string * string) list) =
-    Runner.run_cached ~cache ~jobs:1 Runner.all
-  in
-  Unix.gettimeofday () -. t0
-
 let () =
   let json_path = ref "BENCH.json" in
-  let smoke = ref false in
   let trace_dir = ref None in
-  let cache_dir = ref None in
   let baseline = ref None in
   let repeat = ref 1 in
   let rec parse = function
@@ -438,14 +202,8 @@ let () =
       if n < 1 then invalid_arg "bench: --repeat wants a positive count";
       repeat := n;
       parse rest
-    | "--smoke" :: rest ->
-      smoke := true;
-      parse rest
     | "--trace-dir" :: dir :: rest ->
       trace_dir := Some dir;
-      parse rest
-    | "--cache-dir" :: dir :: rest ->
-      cache_dir := Some dir;
       parse rest
     | arg :: _ -> invalid_arg ("bench: unknown argument " ^ arg)
   in
@@ -456,26 +214,8 @@ let () =
   print_endline "=== PathExpander: full reproduction of the evaluation ===";
   (* The whole bench runs serial — including nested fan-out inside
      experiments — so the sweep wall time in the JSON measures single-core
-     simulator throughput and is comparable across hosts, and Bechamel
-     timing is not polluted by sibling domains. *)
+     simulator throughput and is comparable across hosts. *)
   Exp_common.set_jobs 1;
-  (* The result-cache axis: a private (or --cache-dir) store, populated by
-     one cold sweep then timed warm. Honors the PEXP_RESULT_CACHE=0 kill
-     switch — the warm keys are then null in the JSON. *)
-  let cache =
-    if not (Resultcache.enabled ()) then None
-    else
-      let dir =
-        match !cache_dir with
-        | Some dir -> dir
-        | None ->
-          Filename.concat
-            (Filename.get_temp_dir_name ())
-            (Printf.sprintf "pexp-bench-cache.%d" (Unix.getpid ()))
-      in
-      Some (Resultcache.create ~dir ())
-  in
-  let warm = ref None in
   let sweep_walls = Array.make !repeat 0.0 in
   let o2_walls = Array.make !repeat 0.0 in
   sweep_walls.(0) <- timed_sweep ~trace_dir:!trace_dir ();
@@ -500,22 +240,6 @@ let () =
       done;
       for i = 0 to !repeat - 1 do
         o2_walls.(i) <- timed_sweep ~level:Opt.O2 ~trace_dir:None ()
-      done;
-      match cache with
-      | None -> ()
-      | Some cache ->
-        (* Cold populating sweep (stdout still silenced — it prints the
-           identical report), then timed warm repeats over a fresh
-           stats window so the hit rate reflects only the warm probes. *)
-        let (_ : (string * string) list * (string * string) list) =
-          Runner.run_cached ~cache ~jobs:1 Runner.all
-        in
-        Resultcache.reset_stats cache;
-        let warm_walls = Array.make !repeat 0.0 in
-        for i = 0 to !repeat - 1 do
-          warm_walls.(i) <- timed_cached_sweep ~cache ()
-        done;
-        warm := Some (warm_walls, Resultcache.hit_rate cache));
-  let rows = run_bechamel ~quota:(if !smoke then 0.1 else 0.4) () in
-  write_json ~path:!json_path ~sweep_walls ~o2_walls ~warm:!warm
-    ~baseline:!baseline ~jobs:1 rows
+      done);
+  write_json ~path:!json_path ~sweep_walls ~o2_walls ~baseline:!baseline
+    ~jobs:1

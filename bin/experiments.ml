@@ -107,83 +107,30 @@ let obs_dir_arg =
   in
   Arg.(value & opt (some string) None & info [ "obs-dir" ] ~docv:"DIR" ~doc)
 
-let cache_dir_arg =
-  let doc =
-    "Serve each experiment leg from the content-addressed result cache in \
-     $(docv) (created if missing), storing every miss. Determinism makes \
-     runs perfectly cacheable: a warm sweep's stdout and every exported \
-     trace/obs artifact are byte-identical to a cold (or uncached) run's. \
-     Ignored when PEXP_RESULT_CACHE=0 (the kill switch) or when \
-     $(b,--telemetry) is given (telemetry contains wall-clock timers, \
-     which are not replayable)."
-  in
-  Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
+(* Create (or check) an output directory before the (possibly
+   minutes-long) sweep, so a bad path fails fast with one line on stderr
+   instead of an exception that discards finished runs. *)
+let prepare_dir what = function
+  | None -> ()
+  | Some dir ->
+    (match Artifacts.prepare_dir dir with
+     | Ok () -> ()
+     | Error msg ->
+       Printf.eprintf "cannot create %s directory: %s\n" what msg;
+       exit 1)
 
-(* The cached sweep path: probe/serve/store per experiment leg through
-   [Runner.run_cached], then write any requested artifact directories from
-   the merged (cached + fresh) serialized artifacts. *)
-let run_cached_sweep ~cache ~trace_dir ~obs_dir experiments =
-  let traces, obs =
-    Runner.run_cached ~cache ~trace:(trace_dir <> None)
-      ~obs:(obs_dir <> None) experiments
-  in
-  (match trace_dir with
-   | None -> ()
-   | Some dir ->
-     let files = Recorder.save_dir_raw ~dir traces in
-     Printf.eprintf "traces: %d runs -> %s\n%!" (List.length files) dir);
-  (match obs_dir with
-   | None -> ()
-   | Some dir ->
-     let files = Obs.save_dir_raw ~dir obs in
-     Printf.eprintf "obs: %d runs -> %s\n%!" (List.length files) dir);
-  let stat = Resultcache.stat cache in
-  Printf.eprintf
-    "result cache: %d hits (%d memory, %d disk), %d misses, %d stored, %d \
-     corrupt; %d bytes read, %d written -> %s\n\
-     %!"
-    (stat "resultcache.hit_mem" + stat "resultcache.hit_disk")
-    (stat "resultcache.hit_mem")
-    (stat "resultcache.hit_disk")
-    (stat "resultcache.miss") (stat "resultcache.store")
-    (stat "resultcache.corrupt")
-    (stat "resultcache.bytes_read")
-    (stat "resultcache.bytes_written")
-    (Resultcache.dir cache);
-  Resultcache.submit_stats cache
-
-let main list jobs telemetry selective opt trace_dir obs_dir cache_dir ids =
+let main list jobs telemetry selective opt trace_dir obs_dir ids =
   if list then list_ids ()
   else begin
     Exp_common.set_jobs jobs;
     Pe_config.set_selective_enabled selective;
     Opt.set_default opt;
-    let cache =
-      match cache_dir with
-      | None -> None
-      | Some dir when not (Resultcache.enabled ()) ->
-        Printf.eprintf
-          "result cache: disabled by PEXP_RESULT_CACHE=0 (ignoring %s)\n%!"
-          dir;
-        None
-      | Some dir when telemetry <> None ->
-        Printf.eprintf
-          "result cache: disabled under --telemetry (ignoring %s)\n%!" dir;
-        None
-      | Some dir -> Some (Resultcache.create ~dir ())
-    in
-    let experiments () =
+    let experiments =
       match ids with [] -> Runner.all | ids -> experiments_for ids
     in
-    match cache with
-    | Some cache ->
-      run_cached_sweep ~cache ~trace_dir ~obs_dir (experiments ())
-    | None ->
-    let run () =
-      match ids with
-      | [] -> Runner.run_all ()
-      | ids -> Runner.run_list (experiments_for ids)
-    in
+    prepare_dir "trace" trace_dir;
+    prepare_dir "obs" obs_dir;
+    let run () = Runner.run_list experiments in
     (* Trace capture wraps the sweep (innermost) so it composes with
        --telemetry; each finished run submits an immutable event dump. *)
     let run () =
@@ -227,6 +174,6 @@ let cmd =
   Cmd.v info
     Term.(
       const main $ list_arg $ jobs_arg $ telemetry_arg $ selective_arg
-      $ opt_arg $ trace_dir_arg $ obs_dir_arg $ cache_dir_arg $ ids_arg)
+      $ opt_arg $ trace_dir_arg $ obs_dir_arg $ ids_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -4,7 +4,6 @@
    Examples:
      pexp --app print_tokens2 --bug 10 --detector ccured --mode standard
      pexp --app 164.gzip --mode cmp --stats
-     pexp --cache-dir /tmp/pexp-cache --app replace --stats
      pexp --list *)
 
 let detector_of_string = function
@@ -38,52 +37,20 @@ let termination_summary records =
     (count (fun r -> r.Nt_path.termination = Nt_path.T_program_end))
     (count (fun r -> r.Nt_path.termination = Nt_path.T_cache_overflow))
 
-let write_file path content =
-  let oc = open_out path in
-  output_string oc content;
+(* Open a requested output file before simulating, so a bad path fails fast
+   with one line on stderr instead of an uncaught exception after the run. *)
+let open_output what =
+  Option.map (fun file ->
+      try (open_out file, file)
+      with Sys_error msg ->
+        Printf.eprintf "cannot open %s file: %s\n" what msg;
+        exit 1)
+
+let write_output (oc, _) contents =
+  output_string oc contents;
   close_out oc
 
-(* The run's cache key (DESIGN.md §16): everything the report bytes and the
-   exported artifacts depend on — the compiled program image hash (which
-   already folds in app source, planted bug, detector instrumentation,
-   fixing and optimization level), the fully resolved Pe_config
-   fingerprint, the detector/mode/opt names for human-auditable keys, the
-   strategy toggles, the input digest, the result-schema version and the
-   build id, plus every flag that changes what gets printed or exported. *)
-let run_key ~app ~detector ~mode ~bug ~fixing ~selective ~stats ~disasm ~opt
-    ~trace ~trace_chrome ~obs ~program ~input ~config =
-  Resultcache.key
-    [
-      ("kind", "run");
-      ("schema", string_of_int Resultcache.schema_version);
-      ("build", Resultcache.build_id ());
-      ("app", app);
-      ("program", Resultcache.digest_value program);
-      ("pe_config", Pe_config.fingerprint config);
-      ("detector", Codegen.detector_name detector);
-      ("mode", Pe_config.mode_name mode);
-      ("opt", Opt.to_string opt);
-      ("selective", string_of_bool selective);
-      ("fixing", string_of_bool fixing);
-      ("cache_fastpath", string_of_bool (Cache.fastpath_enabled ()));
-      ("input", Resultcache.digest_hex input);
-      ("bug", match bug with None -> "none" | Some v -> string_of_int v);
-      ("stats", string_of_bool stats);
-      ("disasm", string_of_bool disasm);
-      ("trace", string_of_bool (trace <> None));
-      ("chrome", string_of_bool (trace_chrome <> None));
-      ("obs", string_of_bool (obs <> None));
-    ]
-
-(* Where each named bundle artifact lands for this invocation. A hit's
-   artifact set always matches the requested set: the request flags are in
-   the key. *)
-let artifact_paths ~trace ~trace_chrome ~obs =
-  List.filter_map
-    (fun (name, path) -> Option.map (fun p -> (name, p)) path)
-    [ ("trace", trace); ("chrome", trace_chrome); ("obs", obs) ]
-
-let run_one ~cache ~app ~detector ~mode ~bug ~fixing ~selective ~seed
+let run_one ~app ~detector ~mode ~bug ~fixing ~selective ~seed
     ~random_input ~stats ~disasm ~trace ~trace_chrome ~opt ~dump_pass ~obs
     ~prometheus =
   let workload = Registry.find app in
@@ -118,140 +85,96 @@ let run_one ~cache ~app ~detector ~mode ~bug ~fixing ~selective ~seed
   let config =
     { (Workload.pe_config ~mode workload) with Pe_config.fixing; selective }
   in
-  (* The simulation plus its complete report, every stdout byte through the
-     sink and every exported file through [write_artifact] — so a cache miss
-     can capture exactly what an uncached run emits. *)
-  let simulate ~write_artifact () =
-    if disasm then
-      Sink.print_string (Program.disassemble compiled.Compile.program);
-    let recorder =
-      if trace <> None || trace_chrome <> None then Recorder.create ()
-      else Recorder.disabled
-    in
-    let machine = Machine.create ~input ~recorder compiled.Compile.program in
-    (* Arm the observatory's per-run bookkeeping (deopt-cause
-       classification, NT sequence stamps) before the run when a snapshot
-       was requested. *)
-    if obs <> None then Pe_config.set_obs_enabled true;
-    if obs <> None || prometheus <> None then
-      Telemetry.set_label machine.Machine.telemetry
-        (Printf.sprintf "%s/%s" app (Pe_config.mode_name mode));
-    let result = Engine.run ~config machine in
-    (match obs with
-     | None -> ()
-     | Some file ->
-       let snap =
-         Obs.snapshot
-           ~label:(Printf.sprintf "%s/%s" app (Pe_config.mode_name mode))
-           ~program:compiled.Compile.program ~machine ~result ~config
-       in
-       write_artifact "obs" file (Obs.to_json snap ^ "\n");
-       Printf.eprintf "obs: snapshot -> %s\n%!" file);
-    (match prometheus with
-     | None -> ()
-     | Some file ->
-       write_file file (Telemetry.to_prometheus machine.Machine.telemetry);
-       Printf.eprintf "prometheus: metrics -> %s\n%!" file);
-    (* Flight-recorder exports before the human-readable report, so a crash
-       in the analysis below can't lose a captured trace. *)
-    let dump () =
-      Recorder.dump
-        ~label:(Printf.sprintf "%s/%s" app (Pe_config.mode_name mode))
-        recorder
-    in
-    (match trace with
-     | None -> ()
-     | Some file ->
-       write_artifact "trace" file (Recorder.jsonl_of_dump (dump ()));
-       Printf.eprintf "trace: %d events -> %s\n%!" (Recorder.length recorder)
-         file);
-    (match trace_chrome with
-     | None -> ()
-     | Some file ->
-       write_artifact "chrome" file (Recorder.chrome_of_dump (dump ()));
-       Printf.eprintf "chrome trace: %d events -> %s\n%!"
-         (Recorder.length recorder) file);
-    Sink.printf "%s under %s (%s): %s\n" app
-      (Codegen.detector_name detector)
-      (Pe_config.mode_name mode)
-      (Engine.outcome_name result.Engine.outcome);
-    Sink.printf
-      "taken path: %d instructions, %d cycles; total %d cycles; %d NT-Paths\n"
-      result.Engine.taken_insns result.Engine.taken_cycles
-      result.Engine.total_cycles result.Engine.spawns;
-    Sink.printf "branch coverage: %.1f%% taken-path, %.1f%% with NT-Paths\n"
-      (Coverage.taken_pct result.Engine.coverage)
-      (Coverage.combined_pct result.Engine.coverage);
-    if stats then begin
-      termination_summary result.Engine.nt_records;
-      Sink.printf "selective fast tier: %d instructions in %d segments\n"
-        result.Engine.fast_insns result.Engine.fast_segments
-    end;
-    let reports = machine.Machine.reports in
-    Sink.printf "detector reports: %d (%d distinct sites)\n"
-      (Report.count reports)
-      (List.length (Report.distinct_sites reports));
-    List.iter
-      (fun id ->
-        Sink.printf "  %s\n"
-          (Site.to_string compiled.Compile.program.Program.sites.(id)))
-      (Report.distinct_sites reports);
-    match bug with
-    | None -> ()
-    | Some version ->
-      let bug = Workload.find_bug workload version in
-      let analysis = Analysis.analyze ~compiled ~machine ~bug in
-      Sink.printf "bug %s: %s (taken-path: %b, NT-Path: %b, %d false positives)\n"
-        bug.Bug.id
-        (if Analysis.detected analysis then "DETECTED" else "not detected")
-        analysis.Analysis.detected_on_taken_path
-        analysis.Analysis.detected_on_nt_path
-        (Analysis.false_positive_count analysis)
+  let trace = open_output "trace" trace in
+  let trace_chrome = open_output "chrome trace" trace_chrome in
+  let obs = open_output "obs" obs in
+  let prometheus = open_output "prometheus" prometheus in
+  if disasm then
+    Sink.print_string (Program.disassemble compiled.Compile.program);
+  let recorder =
+    if Option.is_some trace || Option.is_some trace_chrome then
+      Recorder.create ()
+    else Recorder.disabled
   in
-  let live_write _name path content = write_file path content in
-  (* --dump-pass prints a fresh compilation's IR (already emitted above) and
-     --prometheus exports wall-clock timers; neither is replayable, so both
-     bypass the cache. *)
-  let bypass = dump_pass <> None || prometheus <> None in
-  match cache with
-  | Some cache when not bypass ->
-    let key =
-      run_key ~app ~detector ~mode ~bug ~fixing ~selective ~stats ~disasm
-        ~opt ~trace ~trace_chrome ~obs ~program:compiled.Compile.program
-        ~input ~config
-    in
-    let paths = artifact_paths ~trace ~trace_chrome ~obs in
-    (match Resultcache.find cache key with
-     | Some bundle ->
-       List.iter
-         (fun (name, content) ->
-           match List.assoc_opt name paths with
-           | Some path ->
-             write_file path content;
-             Printf.eprintf "%s: cached -> %s\n%!" name path
-           | None -> ())
-         bundle.Resultcache.artifacts;
-       Sink.print_string bundle.Resultcache.stdout;
-       Printf.eprintf "result cache: hit %s\n%!" (Resultcache.key_hash key)
-     | None ->
-       let collected = ref [] in
-       let write_artifact name path content =
-         collected := (name, content) :: !collected;
-         write_file path content
-       in
-       let (), out = Sink.with_capture (simulate ~write_artifact) in
-       Resultcache.store cache key
-         { Resultcache.stdout = out; artifacts = List.rev !collected };
-       Sink.print_string out;
-       Printf.eprintf "result cache: miss, stored %s\n%!"
-         (Resultcache.key_hash key))
-  | _ ->
-    if Option.is_some cache && bypass then
-      Printf.eprintf
-        "result cache: bypassed (--dump-pass / --prometheus output is not \
-         replayable)\n\
-         %!";
-    simulate ~write_artifact:live_write ()
+  let machine = Machine.create ~input ~recorder compiled.Compile.program in
+  (* Arm the observatory's per-run bookkeeping (deopt-cause
+     classification, NT sequence stamps) before the run when a snapshot
+     was requested. *)
+  if Option.is_some obs then Pe_config.set_obs_enabled true;
+  if Option.is_some obs || Option.is_some prometheus then
+    Telemetry.set_label machine.Machine.telemetry
+      (Printf.sprintf "%s/%s" app (Pe_config.mode_name mode));
+  let result = Engine.run ~config machine in
+  (match obs with
+   | None -> ()
+   | Some out ->
+     let snap =
+       Obs.snapshot
+         ~label:(Printf.sprintf "%s/%s" app (Pe_config.mode_name mode))
+         ~program:compiled.Compile.program ~machine ~result ~config
+     in
+     write_output out (Obs.to_json snap ^ "\n");
+     Printf.eprintf "obs: snapshot -> %s\n%!" (snd out));
+  (match prometheus with
+   | None -> ()
+   | Some out ->
+     write_output out (Telemetry.to_prometheus machine.Machine.telemetry);
+     Printf.eprintf "prometheus: metrics -> %s\n%!" (snd out));
+  (* Flight-recorder exports before the human-readable report, so a crash
+     in the analysis below can't lose a captured trace. *)
+  let dump () =
+    Recorder.dump
+      ~label:(Printf.sprintf "%s/%s" app (Pe_config.mode_name mode))
+      recorder
+  in
+  (match trace with
+   | None -> ()
+   | Some out ->
+     write_output out (Recorder.jsonl_of_dump (dump ()));
+     Printf.eprintf "trace: %d events -> %s\n%!" (Recorder.length recorder)
+       (snd out));
+  (match trace_chrome with
+   | None -> ()
+   | Some out ->
+     write_output out (Recorder.chrome_of_dump (dump ()));
+     Printf.eprintf "chrome trace: %d events -> %s\n%!"
+       (Recorder.length recorder) (snd out));
+  Sink.printf "%s under %s (%s): %s\n" app
+    (Codegen.detector_name detector)
+    (Pe_config.mode_name mode)
+    (Engine.outcome_name result.Engine.outcome);
+  Sink.printf
+    "taken path: %d instructions, %d cycles; total %d cycles; %d NT-Paths\n"
+    result.Engine.taken_insns result.Engine.taken_cycles
+    result.Engine.total_cycles result.Engine.spawns;
+  Sink.printf "branch coverage: %.1f%% taken-path, %.1f%% with NT-Paths\n"
+    (Coverage.taken_pct result.Engine.coverage)
+    (Coverage.combined_pct result.Engine.coverage);
+  if stats then begin
+    termination_summary result.Engine.nt_records;
+    Sink.printf "selective fast tier: %d instructions in %d segments\n"
+      result.Engine.fast_insns result.Engine.fast_segments
+  end;
+  let reports = machine.Machine.reports in
+  Sink.printf "detector reports: %d (%d distinct sites)\n"
+    (Report.count reports)
+    (List.length (Report.distinct_sites reports));
+  List.iter
+    (fun id ->
+      Sink.printf "  %s\n"
+        (Site.to_string compiled.Compile.program.Program.sites.(id)))
+    (Report.distinct_sites reports);
+  match bug with
+  | None -> ()
+  | Some version ->
+    let bug = Workload.find_bug workload version in
+    let analysis = Analysis.analyze ~compiled ~machine ~bug in
+    Sink.printf "bug %s: %s (taken-path: %b, NT-Path: %b, %d false positives)\n"
+      bug.Bug.id
+      (if Analysis.detected analysis then "DETECTED" else "not detected")
+      analysis.Analysis.detected_on_taken_path
+      analysis.Analysis.detected_on_nt_path
+      (Analysis.false_positive_count analysis)
 
 open Cmdliner
 
@@ -360,36 +283,12 @@ let trace_chrome_arg =
           "Like $(b,--trace) but in Chrome trace-event format (load in \
            Perfetto or chrome://tracing).")
 
-let cache_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "cache-dir" ] ~docv:"DIR"
-        ~doc:
-          "Serve the run from the content-addressed result cache in $(docv) \
-           (created if missing): on a hit the report and any requested \
-           trace/chrome/obs exports replay byte-identically from the store; \
-           on a miss the run executes and is stored. Ignored when \
-           PEXP_RESULT_CACHE=0, $(b,--dump-pass) or $(b,--prometheus) is \
-           given.")
-
 let main list app detector mode bug fixing selective seed random_input stats
-    disasm trace trace_chrome opt dump_pass obs prometheus cache_dir =
+    disasm trace trace_chrome opt dump_pass obs prometheus =
   if list then list_apps ()
   else
-    let cache =
-      match cache_dir with
-      | None -> None
-      | Some dir when not (Resultcache.enabled ()) ->
-        Printf.eprintf
-          "result cache: disabled by PEXP_RESULT_CACHE=0 (ignoring %s)\n%!"
-          dir;
-        None
-      | Some dir -> Some (Resultcache.create ~dir ())
-    in
-    run_one ~cache ~app ~detector ~mode ~bug ~fixing ~selective ~seed
-      ~random_input ~stats ~disasm ~trace ~trace_chrome ~opt ~dump_pass ~obs
-      ~prometheus
+    run_one ~app ~detector ~mode ~bug ~fixing ~selective ~seed ~random_input
+      ~stats ~disasm ~trace ~trace_chrome ~opt ~dump_pass ~obs ~prometheus
 
 let cmd =
   let doc = "run a workload under a dynamic bug detector with PathExpander" in
@@ -398,6 +297,6 @@ let cmd =
       const main $ list_arg $ app_arg $ detector_arg $ mode_arg $ bug_arg
       $ fixing_arg $ selective_arg $ seed_arg $ random_arg $ stats_arg
       $ disasm_arg $ trace_arg $ trace_chrome_arg $ opt_arg $ dump_pass_arg
-      $ obs_arg $ prometheus_arg $ cache_dir_arg)
+      $ obs_arg $ prometheus_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -1,12 +1,10 @@
-(* trace_check — validate flight-recorder JSONL traces, Coverage
-   Observatory JSON snapshots, and result-cache entry manifests.
+(* trace_check — validate flight-recorder JSONL traces and Coverage
+   Observatory JSON snapshots.
 
    Usage: trace_check FILE.jsonl ...     (validate each trace file)
           trace_check FILE.json ...      (validate each obs snapshot)
-          trace_check .../manifest.json  (validate a result-cache entry)
           trace_check DIR                (validate every *.jsonl / *.json
-                                          inside, plus every cache-entry
-                                          */manifest.json one level down)
+                                          inside)
 
    Traces: every line must parse as a complete JSON object; the first line
    must be a meta record with the known schema version; every following line
@@ -15,11 +13,6 @@
    Obs snapshots: the document must carry the known schema version, every
    required section, only recognised frontier causes, and internally
    consistent counts (frontier length = uncovered edge count = cause total).
-
-   Cache manifests: the document must carry the known manifest schema
-   version, a canonical key (a JSON object of string components), and a
-   checksummed stdout/artifact listing whose sibling files all exist with
-   the declared sizes and MD5 digests.
 
    Exit status is non-zero on any failure, so CI can gate on captured
    artifacts being well-formed. *)
@@ -162,112 +155,12 @@ let check_obs_file file =
     if !ok then Printf.printf "%s: ok (obs snapshot)\n" file;
     !ok
 
-(* ---- Result-cache manifest validation ------------------------------------ *)
-
-let is_hex s =
-  String.length s = 32
-  && String.for_all
-       (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
-       s
-
-(* Check a sibling artifact file against its manifest entry: present, the
-   declared size, the declared MD5. *)
-let check_stored_file ~dir ~err ~what file bytes md5 =
-  let path = Filename.concat dir file in
-  if not (Sys.file_exists path) then err (what ^ ": missing file " ^ file)
-  else begin
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let content = really_input_string ic len in
-    close_in ic;
-    if len <> bytes then
-      err
-        (Printf.sprintf "%s: %s is %d bytes, manifest says %d" what file len
-           bytes);
-    if Digest.to_hex (Digest.string content) <> md5 then
-      err (Printf.sprintf "%s: %s fails its MD5 check" what file)
-  end
-
-let check_manifest_file file =
-  let dir = Filename.dirname file in
-  let ic = open_in_bin file in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  let ok = ref true in
-  let err msg = ok := fail file 1 msg in
-  (match Jsonu.parse (String.trim text) with
-   | Error msg -> err ("invalid JSON: " ^ msg)
-   | Ok v ->
-     if int_member "schema" v <> Some Resultcache.manifest_schema_version
-     then
-       err
-         (Printf.sprintf "manifest must carry schema %d"
-            Resultcache.manifest_schema_version);
-     (match Jsonu.member "key" v with
-      | Some (Jsonu.Str key) ->
-        (match Jsonu.parse key with
-         | Ok (Jsonu.Obj parts) ->
-           List.iter
-             (fun (name, value) ->
-               match value with
-               | Jsonu.Str _ -> ()
-               | _ -> err ("key component " ^ name ^ " must be a string"))
-             parts
-         | Ok _ -> err "key text must be a JSON object"
-         | Error msg -> err ("key text does not parse: " ^ msg))
-      | Some _ -> err "\"key\" must be a string"
-      | None -> err "missing \"key\"");
-     (match Jsonu.member "stdout" v with
-      | Some so ->
-        (match int_member "bytes" so, Jsonu.member "md5" so with
-         | Some bytes, Some (Jsonu.Str md5) when is_hex md5 ->
-           check_stored_file ~dir ~err ~what:"stdout" "stdout" bytes md5
-         | _ -> err "stdout must carry integer bytes and an MD5 hex digest")
-      | None -> err "missing \"stdout\"");
-     (match Jsonu.member "artifacts" v with
-      | Some (Jsonu.Arr entries) ->
-        List.iteri
-          (fun i e ->
-            let what = Printf.sprintf "artifact %d" i in
-            match
-              ( Jsonu.member "name" e,
-                Jsonu.member "file" e,
-                int_member "bytes" e,
-                Jsonu.member "md5" e )
-            with
-            | Some (Jsonu.Str _), Some (Jsonu.Str f), Some bytes,
-              Some (Jsonu.Str md5)
-              when is_hex md5 ->
-              check_stored_file ~dir ~err ~what f bytes md5
-            | _ ->
-              err (what ^ " must carry name, file, bytes and an MD5 digest"))
-          entries
-      | Some _ -> err "\"artifacts\" must be an array"
-      | None -> err "missing \"artifacts\""));
-  if !ok then Printf.printf "%s: ok (cache manifest)\n" file;
-  !ok
-
 let artifact_files_of_dir dir =
-  let top =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f ->
-           Filename.check_suffix f ".jsonl" || Filename.check_suffix f ".json")
-    |> List.sort compare
-    |> List.map (Filename.concat dir)
-  in
-  (* Result-cache entries live one level down: <dir>/<key-hash>/manifest.json.
-     Picking the manifests up here lets CI point trace_check at a cache
-     directory directly. *)
-  let manifests =
-    Sys.readdir dir |> Array.to_list |> List.sort compare
-    |> List.filter_map (fun d ->
-           let m = Filename.concat (Filename.concat dir d) "manifest.json" in
-           if Sys.is_directory (Filename.concat dir d) && Sys.file_exists m
-           then Some m
-           else None)
-  in
-  top @ manifests
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f ->
+         Filename.check_suffix f ".jsonl" || Filename.check_suffix f ".json")
+  |> List.sort compare
+  |> List.map (Filename.concat dir)
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -291,8 +184,7 @@ let () =
   let ok =
     List.for_all
       (fun f ->
-        if Filename.basename f = "manifest.json" then check_manifest_file f
-        else if Filename.check_suffix f ".json" then check_obs_file f
+        if Filename.check_suffix f ".json" then check_obs_file f
         else check_file f)
       files
   in

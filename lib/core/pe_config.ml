@@ -27,8 +27,6 @@ let set_selective_enabled b = Atomic.set selective_enabled b
 
 let selective_on config = config.selective && Atomic.get selective_enabled
 
-let selective_enabled () = Atomic.get selective_enabled
-
 (* Process-wide observatory arm switch (same shape as the selective kill
    switch): when set, runs collect frontier-attribution bookkeeping and
    deopt-cause counters for the Coverage Observatory. Off by default — the
@@ -79,46 +77,3 @@ let mode_name = function
   | Baseline -> "baseline"
   | Standard -> "standard"
   | Cmp -> "cmp"
-
-(* Canonical configuration fingerprint — a cache-key component (DESIGN.md
-   §16). The record is destructured with every field named and no wildcard,
-   so adding a field without rendering it here is a compile error (warning 9
-   is fatal in the dev profile), not a silent cache-key alias; the
-   exhaustive-field test in test_resultcache.ml guards the rendering itself
-   (two configs differing in any single field must fingerprint apart). The
-   float is rendered in hex ([%h]) so distinct values can never collide
-   through decimal rounding. *)
-let fingerprint config =
-  let {
-    mode;
-    nt_counter_threshold;
-    max_nt_path_length;
-    max_num_nt_paths;
-    counter_reset_interval;
-    fixing;
-    follow_nontaken_in_nt;
-    spawn_everywhere;
-    sandbox_syscalls;
-    random_spawn_chance;
-    random_seed;
-    profiled_fixing;
-    selective;
-  } =
-    config
-  in
-  String.concat ";"
-    [
-      "mode=" ^ mode_name mode;
-      "nt_counter_threshold=" ^ string_of_int nt_counter_threshold;
-      "max_nt_path_length=" ^ string_of_int max_nt_path_length;
-      "max_num_nt_paths=" ^ string_of_int max_num_nt_paths;
-      "counter_reset_interval=" ^ string_of_int counter_reset_interval;
-      "fixing=" ^ string_of_bool fixing;
-      "follow_nontaken_in_nt=" ^ string_of_bool follow_nontaken_in_nt;
-      "spawn_everywhere=" ^ string_of_bool spawn_everywhere;
-      "sandbox_syscalls=" ^ string_of_bool sandbox_syscalls;
-      "random_spawn_chance=" ^ Printf.sprintf "%h" random_spawn_chance;
-      "random_seed=" ^ string_of_int random_seed;
-      "profiled_fixing=" ^ string_of_bool profiled_fixing;
-      "selective=" ^ string_of_bool selective;
-    ]

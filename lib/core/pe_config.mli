@@ -57,10 +57,6 @@ type t = {
     every run behaves as if [selective = false] regardless of its config. *)
 val set_selective_enabled : bool -> unit
 
-(** Current value of the process-wide selective switch (a result-cache key
-    component — the per-run effective value is {!selective_on}). *)
-val selective_enabled : unit -> bool
-
 (** Is selective execution effective for [config] — its own flag AND the
     process-wide switch. *)
 val selective_on : t -> bool
@@ -81,11 +77,3 @@ val siemens : t
 val latency_study : t
 
 val mode_name : mode -> string
-
-(** Canonical fingerprint of a configuration: every field rendered by name
-    in a fixed order, for content-addressed result-cache keys (DESIGN.md
-    §16). Two configurations differing in any single field fingerprint
-    differently; a field added to {!t} without being rendered here fails
-    the build (exhaustive destructuring) rather than silently aliasing
-    cache keys. *)
-val fingerprint : t -> string

@@ -50,151 +50,3 @@ let run_list ?jobs experiments =
 let run_all ?jobs () = run_list ?jobs all
 
 let ids () = List.map (fun e -> e.id) all
-
-(* ---- Content-addressed result cache (DESIGN.md §16) ---------------------- *)
-
-(* One cache entry per experiment leg: the complete deterministic artifact
-   bundle an experiment contributes to a sweep — its captured stdout, every
-   flight-recorder trace its runs submitted, every observatory snapshot.
-   Determinism (byte-identical output serial/parallel, selective/fastpath
-   on or off in their own key axes) is what makes the leg cacheable at
-   all; the key names everything the bytes depend on, and anything it
-   cannot name as data (the simulator code itself) is covered by the
-   build-id axis, which invalidates on any rebuild. *)
-
-type artifacts = {
-  a_stdout : string;
-  a_traces : (string * string) list;  (** (run label, JSONL trace) *)
-  a_obs : (string * string) list;  (** (run label, snapshot JSON) *)
-}
-
-(* Everything run-relevant in the workload registry, hashed once per
-   process: the sources (all bug variants), inputs and NT-Path budgets. *)
-let registry_fingerprint_memo = ref None
-
-let registry_fingerprint () =
-  match !registry_fingerprint_memo with
-  | Some fp -> fp
-  | None ->
-    let fp =
-      Resultcache.digest_hex
-        (String.concat "," (List.map Workload.fingerprint Registry.all))
-    in
-    registry_fingerprint_memo := Some fp;
-    fp
-
-let experiment_key ~trace ~obs e =
-  Resultcache.key
-    [
-      ("kind", "experiment");
-      ("schema", string_of_int Resultcache.schema_version);
-      ("build", Resultcache.build_id ());
-      ("experiment", e.id);
-      ("opt", Opt.to_string (Opt.default_level ()));
-      ("selective", string_of_bool (Pe_config.selective_enabled ()));
-      ("cache_fastpath", string_of_bool (Cache.fastpath_enabled ()));
-      ("pe_config", Pe_config.fingerprint Pe_config.default);
-      ("registry", registry_fingerprint ());
-      ("trace", if trace then "on" else "off");
-      ("obs", if obs then "on" else "off");
-    ]
-
-(* Artifact bundles are flat (name, content) lists; the run label rides in
-   the name behind a type prefix. Labels may repeat (the same app/mode
-   under different experiment configs), which the list representation
-   keeps intact. *)
-let encode_artifacts a =
-  {
-    Resultcache.stdout = a.a_stdout;
-    artifacts =
-      List.map (fun (l, c) -> ("trace:" ^ l, c)) a.a_traces
-      @ List.map (fun (l, c) -> ("obs:" ^ l, c)) a.a_obs;
-  }
-
-let decode_artifacts (b : Resultcache.bundle) =
-  let strip prefix name =
-    let n = String.length prefix in
-    if String.length name >= n && String.sub name 0 n = prefix then
-      Some (String.sub name n (String.length name - n))
-    else None
-  in
-  let pick prefix =
-    List.filter_map
-      (fun (name, content) ->
-        Option.map (fun l -> (l, content)) (strip prefix name))
-      b.Resultcache.artifacts
-  in
-  { a_stdout = b.Resultcache.stdout; a_traces = pick "trace:"; a_obs = pick "obs:" }
-
-(* Run one experiment capturing its complete artifact set. Stdout diverts
-   into the domain-local sink buffer; trace dumps and observatory
-   snapshots divert into domain-local collectors — every run of one
-   experiment executes on this domain (nested fan-out degrades serial in
-   pool workers), so sibling experiments never interleave. The artifact
-   lists are sorted (label, content): within one experiment runs are
-   serial so submission order is already deterministic, but the canonical
-   order keeps stored bundles independent of that incidental fact. *)
-let capture_artifacts ~trace ~obs e =
-  let traces = ref [] and snaps = ref [] in
-  let body () = Sink.with_capture e.run in
-  let body () =
-    if obs then
-      Obs.with_domain_collector
-        (fun s -> snaps := (Obs.label s, Obs.to_json s) :: !snaps)
-        body
-    else body ()
-  in
-  let body () =
-    if trace then
-      Recorder.with_domain_collector
-        (fun d -> traces := (d.Recorder.label, Recorder.jsonl_of_dump d) :: !traces)
-        body
-    else body ()
-  in
-  let (), out = body () in
-  {
-    a_stdout = out;
-    a_traces = List.sort compare !traces;
-    a_obs = List.sort compare !snaps;
-  }
-
-let run_cached ~cache ?(trace = false) ?(obs = false) ?jobs experiments =
-  let jobs = match jobs with Some j -> j | None -> Exp_common.jobs () in
-  (* Probe serially on this domain (the cache is cheap and single-domain),
-     then fan only the misses out. *)
-  let probes =
-    List.map
-      (fun e ->
-        let key = experiment_key ~trace ~obs e in
-        (e, key, Option.map decode_artifacts (Resultcache.find cache key)))
-      experiments
-  in
-  let misses =
-    List.filter (fun (_, _, hit) -> Option.is_none hit) probes
-  in
-  if trace then Recorder.set_tracing (Some Recorder.default_capacity);
-  if obs then Pe_config.set_obs_enabled true;
-  let fresh =
-    Fun.protect
-      ~finally:(fun () ->
-        if trace then Recorder.set_tracing None;
-        if obs then Pe_config.set_obs_enabled false)
-      (fun () ->
-        Pool.map ~jobs (fun (e, _, _) -> capture_artifacts ~trace ~obs e) misses)
-  in
-  List.iter2
-    (fun (_, key, _) a -> Resultcache.store cache key (encode_artifacts a))
-    misses fresh;
-  (* Reassemble in registry (presentation) order: hits from the cache,
-     misses from the fresh runs, positionally. *)
-  let rec assemble probes fresh =
-    match (probes, fresh) with
-    | [], _ -> []
-    | (_, _, Some a) :: rest, fresh -> a :: assemble rest fresh
-    | (_, _, None) :: rest, a :: fresh -> a :: assemble rest fresh
-    | (_, _, None) :: _, [] -> assert false
-  in
-  let results = assemble probes fresh in
-  List.iter (fun a -> Sink.print_string a.a_stdout) results;
-  ( List.concat_map (fun a -> a.a_traces) results,
-    List.concat_map (fun a -> a.a_obs) results )

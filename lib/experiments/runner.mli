@@ -26,28 +26,3 @@ val run_list : ?jobs:int -> experiment list -> unit
 val run_all : ?jobs:int -> unit -> unit
 
 val ids : unit -> string list
-
-(** The cache key of one experiment leg (DESIGN.md §16): experiment id,
-    result-schema version, build id, optimization level, the selective and
-    cache-fastpath strategy toggles, the default {!Pe_config} fingerprint,
-    the workload-registry content fingerprint, and which artifact captures
-    ([trace], [obs]) are requested. [--jobs] is deliberately absent — a
-    parallel sweep's bytes are identical to a serial one's. *)
-val experiment_key : trace:bool -> obs:bool -> experiment -> Resultcache.key
-
-(** Run a selection of experiments through the content-addressed result
-    cache: each leg probes the cache, serves its stored artifact bundle on
-    a hit, and is executed (with stdout, flight-recorder dumps and
-    observatory snapshots captured) then stored on a miss. Stdout prints in
-    list order either way, byte-identical to {!run_list}. When [trace]
-    ([resp.] [obs]) is set, tracing (observatory bookkeeping) is armed for
-    the duration and the returned [(label, serialized)] pairs — cached and
-    fresh merged, in submission order per leg — are ready for
-    {!Recorder.save_dir_raw} ({!Obs.save_dir_raw}). *)
-val run_cached :
-  cache:Resultcache.t ->
-  ?trace:bool ->
-  ?obs:bool ->
-  ?jobs:int ->
-  experiment list ->
-  (string * string) list * (string * string) list

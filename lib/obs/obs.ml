@@ -329,50 +329,22 @@ let snapshot ~label ~(program : Program.t) ~(machine : Machine.t)
   in
   { label; json }
 
-(* A snapshot rebuilt from its serialized parts — how the result cache
-   (DESIGN.md §16) replays stored observatory artifacts through the same
-   submit/save funnel as live ones. *)
-let of_parts ~label ~json = { label; json }
-
 (* ---- Capture (mirrors the recorder / telemetry collector protocol) ------- *)
 
 let collector_mutex = Mutex.create ()
 let collector : (t -> unit) option ref = ref None
 
-(* A domain-local collector overrides the process-global one (same protocol
-   as [Recorder.with_domain_collector]): the cached experiment runner pins
-   each experiment's runs to one domain and gathers its snapshots there. *)
-let domain_collector : (t -> unit) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let with_domain_collector f body =
-  let slot = Domain.DLS.get domain_collector in
-  let saved = !slot in
-  slot := Some f;
-  match body () with
-  | v ->
-    slot := saved;
-    v
-  | exception e ->
-    slot := saved;
-    raise e
-
 let armed () =
-  !(Domain.DLS.get domain_collector) <> None
-  ||
-  (Mutex.lock collector_mutex;
-   let r = !collector <> None in
-   Mutex.unlock collector_mutex;
-   r)
+  Mutex.lock collector_mutex;
+  let r = !collector <> None in
+  Mutex.unlock collector_mutex;
+  r
 
 let submit s =
-  match !(Domain.DLS.get domain_collector) with
-  | Some f -> f s
-  | None ->
-    Mutex.lock collector_mutex;
-    let c = !collector in
-    Mutex.unlock collector_mutex;
-    (match c with None -> () | Some f -> f s)
+  Mutex.lock collector_mutex;
+  let c = !collector in
+  Mutex.unlock collector_mutex;
+  match c with None -> () | Some f -> f s
 
 (* Arm the observatory around [f]: the engine-side bookkeeping switch
    ([Pe_config.set_obs_enabled]) plus a snapshot-accumulating collector.
@@ -403,43 +375,9 @@ let capture_runs f =
     finish ();
     raise e
 
-(* ---- Directory export (same canonical order as Recorder.save_dir) -------- *)
+(* ---- Directory export (the writer shared with Recorder.save_dir) -------- *)
 
-let sanitize_label label =
-  let buf = Buffer.create (String.length label) in
-  String.iter
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.' ->
-        Buffer.add_char buf c
-      | _ -> Buffer.add_char buf '_')
-    label;
-  if Buffer.length buf = 0 then "run" else Buffer.contents buf
-
-let ensure_dir dir = if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-
-let write_file file contents =
-  let oc = open_out file in
-  output_string oc contents;
-  close_out oc
-
-(* One JSON file per snapshot. Submission order is nondeterministic under a
-   parallel sweep, so files are ordered by (label, content) — identical
-   sweeps name identical bytes identically, serial or [--jobs N]. The raw
-   entry point takes already-serialized [(label, json)] pairs so cached
-   snapshots replay through the exact canonical naming. *)
-let save_dir_raw ~dir snapshots =
-  ensure_dir dir;
-  let keyed = List.sort compare snapshots in
-  List.mapi
-    (fun i (label, json) ->
-      let file =
-        Filename.concat dir
-          (Printf.sprintf "obs-%04d-%s.json" i (sanitize_label label))
-      in
-      write_file file (json ^ "\n");
-      file)
-    keyed
-
+(* Snapshot JSON is one line; each file ends it with a newline. *)
 let save_dir ~dir snapshots =
-  save_dir_raw ~dir (List.map (fun s -> (s.label, s.json)) snapshots)
+  Artifacts.save_dir ~dir ~prefix:"obs" ~ext:"json"
+    (List.map (fun s -> (s.label, s.json ^ "\n")) snapshots)

@@ -387,11 +387,6 @@ let chrome_of_dump d =
           ] );
     ]
 
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
-
 (* ---- Process-global capture (sweep tracing) ----------------------------- *)
 
 (* Mirrors the Telemetry collector: [set_tracing] arms machine creation
@@ -418,34 +413,12 @@ let obtain () =
   Mutex.unlock tracing_mutex;
   match cap with None -> disabled | Some capacity -> create ~capacity ()
 
-(* A domain-local collector overrides the process-global one: the cached
-   experiment runner (DESIGN.md §16) pins every run of one experiment to
-   one domain and gathers that experiment's dumps locally, so concurrent
-   experiments on sibling domains never interleave their submissions. *)
-let domain_collector : (dump -> unit) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let with_domain_collector f body =
-  let slot = Domain.DLS.get domain_collector in
-  let saved = !slot in
-  slot := Some f;
-  match body () with
-  | v ->
-    slot := saved;
-    v
-  | exception e ->
-    slot := saved;
-    raise e
-
 let submit ~label t =
   if t.enabled then begin
-    match !(Domain.DLS.get domain_collector) with
-    | Some f -> f (dump ~label t)
-    | None ->
-      Mutex.lock tracing_mutex;
-      let c = !trace_collector in
-      Mutex.unlock tracing_mutex;
-      (match c with None -> () | Some f -> f (dump ~label t))
+    Mutex.lock tracing_mutex;
+    let c = !trace_collector in
+    Mutex.unlock tracing_mutex;
+    match c with None -> () | Some f -> f (dump ~label t)
   end
 
 (* Run [f] with tracing armed and a dump-accumulating collector installed;
@@ -478,38 +451,6 @@ let capture_runs ?(capacity = default_capacity) f =
 
 (* ---- Directory export --------------------------------------------------- *)
 
-let sanitize_label label =
-  let buf = Buffer.create (String.length label) in
-  String.iter
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.' ->
-        Buffer.add_char buf c
-      | _ -> Buffer.add_char buf '_')
-    label;
-  if Buffer.length buf = 0 then "run" else Buffer.contents buf
-
-let ensure_dir dir =
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-
-(* Write one JSONL file per (label, serialized trace) pair into [dir].
-   Submission order is nondeterministic under a parallel sweep, so files
-   are ordered by (label, serialized content) — identical sweeps name
-   identical bytes identically, serial or [--jobs N]. The raw entry point
-   also lets the result cache (DESIGN.md §16) replay stored traces through
-   the exact canonical naming a live sweep uses. *)
-let save_dir_raw ~dir traces =
-  ensure_dir dir;
-  let keyed = List.sort compare traces in
-  List.mapi
-    (fun i (label, jsonl) ->
-      let file =
-        Filename.concat dir
-          (Printf.sprintf "trace-%04d-%s.jsonl" i (sanitize_label label))
-      in
-      write_file file jsonl;
-      file)
-    keyed
-
 let save_dir ~dir dumps =
-  save_dir_raw ~dir (List.map (fun d -> (d.label, jsonl_of_dump d)) dumps)
+  Artifacts.save_dir ~dir ~prefix:"trace" ~ext:"jsonl"
+    (List.map (fun d -> (d.label, jsonl_of_dump d)) dumps)

@@ -126,32 +126,6 @@ let pe_config ?(mode = Pe_config.Standard) workload =
     max_nt_path_length = workload.max_nt_path_length;
   }
 
-(* Canonical content fingerprint of a workload — a result-cache key
-   component (DESIGN.md §16): the MD5 of everything that determines a run's
-   output and is reachable as data. The bug-free source and every planted
-   bug variant are included (the generators are deterministic), as are the
-   default input and the NT-Path budget; the input *generator* is code, so
-   changes to it are covered by the cache's build-id axis instead. *)
-let fingerprint workload =
-  let buf = Buffer.create 4096 in
-  let add s =
-    Buffer.add_string buf (string_of_int (String.length s));
-    Buffer.add_char buf ':';
-    Buffer.add_string buf s
-  in
-  add workload.name;
-  add (app_class_name workload.app_class);
-  add (string_of_int workload.max_nt_path_length);
-  add workload.default_input;
-  add (workload.source ~bug:None);
-  List.iter
-    (fun (b : Bug.t) ->
-      add b.Bug.id;
-      add (string_of_int b.Bug.version);
-      add (workload.source ~bug:(Some b.Bug.version)))
-    workload.bugs;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
 (* Source line count of the bug-free source (Table 3's LOC column). *)
 let loc workload =
   let source = workload.source ~bug:None in

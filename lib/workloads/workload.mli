@@ -49,12 +49,6 @@ val compile_cache_length : unit -> int
 (** Entries ever evicted by the LRU bound. *)
 val compile_cache_evictions : unit -> int
 
-(** Content fingerprint (MD5 hex) of everything run-relevant and reachable
-    as data: name, class, NT-Path budget, default input, the bug-free
-    source and every planted-bug source variant — a result-cache key
-    component (DESIGN.md §16). *)
-val fingerprint : t -> string
-
 (** PathExpander configuration with this workload's NT-Path budget. *)
 val pe_config : ?mode:Pe_config.mode -> t -> Pe_config.t
 

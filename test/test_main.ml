@@ -22,5 +22,4 @@ let () =
       ("cache-fastpath", Test_cache_fastpath.tests);
       ("properties", Test_props.tests);
       ("obs", Test_obs.tests);
-      ("resultcache", Test_resultcache.tests);
     ]

@@ -361,6 +361,54 @@ let test_capture_runs () =
       Sys.remove f)
     files
 
+(* --- artifact destinations ----------------------------------------------- *)
+
+let scratch_dir name =
+  Filename.concat (Filename.get_temp_dir_name ())
+    (Printf.sprintf "pexp_%s_%d" name (Unix.getpid ()))
+
+let read_file f = In_channel.with_open_bin f In_channel.input_all
+
+(* The shared writer numbers files in (label, contents) order whatever the
+   submission order, reduces labels to a safe alphabet, and writes the
+   contents byte-for-byte. *)
+let test_artifacts_save_dir () =
+  let dir = scratch_dir "artifacts_save" in
+  let items = [ ("b/x", "2\n"); ("", "e"); ("a y", "1"); ("b/x", "1\n") ] in
+  let files = Artifacts.save_dir ~dir ~prefix:"trace" ~ext:"jsonl" items in
+  Alcotest.(check (list string))
+    "canonical names"
+    [ "trace-0000-run.jsonl"; "trace-0001-a_y.jsonl"; "trace-0002-b_x.jsonl";
+      "trace-0003-b_x.jsonl" ]
+    (List.map Filename.basename files);
+  Alcotest.(check (list string))
+    "contents in (label, contents) order" [ "e"; "1"; "1\n"; "2\n" ]
+    (List.map read_file files);
+  let again =
+    Artifacts.save_dir ~dir ~prefix:"trace" ~ext:"jsonl" (List.rev items)
+  in
+  Alcotest.(check (list string)) "order-independent" files again;
+  List.iter Sys.remove files;
+  Sys.rmdir dir
+
+(* Bad output directories are reported as one-line errors up front, never
+   raised — the binaries check them before simulating anything. *)
+let test_artifacts_bad_destinations () =
+  let is_error = function Ok _ -> false | Error _ -> true in
+  Alcotest.(check bool) "dir under a missing parent" true
+    (is_error (Artifacts.prepare_dir "/nonexistent/pexp/traces"));
+  let file = scratch_dir "artifacts_plain_file" in
+  Out_channel.with_open_bin file (fun _ -> ());
+  Alcotest.(check bool) "existing non-directory" true
+    (is_error (Artifacts.prepare_dir file));
+  Sys.remove file;
+  let dir = scratch_dir "artifacts_fresh" in
+  Alcotest.(check bool) "fresh dir created" true
+    (Artifacts.prepare_dir dir = Ok () && Sys.is_directory dir);
+  Alcotest.(check bool) "existing dir accepted" true
+    (Artifacts.prepare_dir dir = Ok ());
+  Sys.rmdir dir
+
 let tests =
   [
     Alcotest.test_case "histogram bucket edges" `Quick test_hist_bucket_edges;
@@ -382,4 +430,8 @@ let tests =
       test_jsonl_every_line_parses;
     Alcotest.test_case "Chrome trace is valid" `Quick test_chrome_output_valid;
     Alcotest.test_case "capture_runs + save_dir" `Quick test_capture_runs;
+    Alcotest.test_case "artifacts: canonical directory writer" `Quick
+      test_artifacts_save_dir;
+    Alcotest.test_case "artifacts: bad destinations are errors" `Quick
+      test_artifacts_bad_destinations;
   ]

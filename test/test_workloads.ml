@@ -132,9 +132,37 @@ let test_find () =
   Alcotest.check_raises "unknown" (Invalid_argument "unknown workload 'zzz'")
     (fun () -> ignore (Registry.find "zzz"))
 
+(* The compile memo is a bounded LRU: shrinking it evicts at once, a hit
+   restamps its entry, and the least-recently-used entry goes first. *)
+let test_compile_lru () =
+  Workload.set_compile_cache_capacity 2;
+  Fun.protect
+    ~finally:(fun () -> Workload.set_compile_cache_capacity 128)
+    (fun () ->
+      Alcotest.(check bool) "capacity applies immediately" true
+        (Workload.compile_cache_length () <= 2);
+      let before = Workload.compile_cache_evictions () in
+      let w = Registry.print_tokens2 in
+      let c1 = Workload.compile ~bug:1 w in
+      let c2 = Workload.compile ~bug:2 w in
+      ignore c2;
+      (* touching bug 1 makes it most-recently-used, so compiling a third
+         variant evicts bug 2, not bug 1 *)
+      let c1' = Workload.compile ~bug:1 w in
+      Alcotest.(check bool) "hit returns the memoized instance" true
+        (c1 == c1');
+      let _ = Workload.compile ~bug:3 w in
+      Alcotest.(check bool) "evictions counted" true
+        (Workload.compile_cache_evictions () > before);
+      Alcotest.(check bool) "bounded" true
+        (Workload.compile_cache_length () <= 2);
+      let c1'' = Workload.compile ~bug:1 w in
+      Alcotest.(check bool) "lru survivor still memoized" true (c1 == c1''))
+
 let tests =
   Alcotest.test_case "registry shape" `Quick test_registry_shape
   :: Alcotest.test_case "registry find" `Quick test_find
+  :: Alcotest.test_case "bounded compile memo" `Quick test_compile_lru
   :: (List.map clean_run_case Registry.all
      @ List.map output_deterministic_case Registry.all
      @ List.map pe_preserves_output_case Registry.all
