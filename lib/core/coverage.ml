@@ -133,6 +133,9 @@ let[@inline always] record_pc_nt cov pc =
   if pc >= 0 && pc < Array.length cov.line_of then
     Bytes.unsafe_set cov.line_nt (Array.unsafe_get cov.line_of pc) '\001'
 
+let line_of cov = cov.line_of
+let line_bitmap cov ~nt = if nt then cov.line_nt else cov.line_taken
+
 let count_lines bytes = Bytes.fold_left (fun acc c -> if c = '\001' then acc + 1 else acc) 0 bytes
 
 (* Line bitmaps only: slot 0 is the runtime-code sentinel, never a line. *)

@@ -23,6 +23,15 @@ val record_pc_taken : t -> int -> unit
 
 val record_pc_nt : t -> int -> unit
 
+(** The statement-coverage sink the fast tier writes without a call:
+    [line_of t] has one slot per pc holding the bitmap index of the
+    instruction's source line (0, a sentinel slot, for runtime code), and
+    [line_bitmap t ~nt] is the taken-path ([nt = false]) or NT-Path line set
+    that {!record_pc_taken}/{!record_pc_nt} mark. *)
+val line_of : t -> int array
+
+val line_bitmap : t -> nt:bool -> Bytes.t
+
 (** Total number of edges: two per user branch. *)
 val edge_universe_size : t -> int
 

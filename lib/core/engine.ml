@@ -212,13 +212,11 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) machine =
     end;
     id
   in
-  (* One pooled context + sandbox recycled across every spawn of this run. *)
-  let nt_arena = Nt_path.make_arena machine ~l1:ctx.Context.l1 in
-  let nt_insns = ref 0 in
-  (* NT-Path phase time is derived at run end from the instruction split
-     (see the telemetry block below) rather than measured per spawn: a
-     [Telemetry.span] here cost two [Unix.gettimeofday] calls per NT-Path,
-     which for short paths rivalled the path's own execution time. *)
+  (* One pooled context, sandbox and fast-tier handle recycled across every
+     spawn of this run. *)
+  let nt_arena =
+    Nt_path.make_arena machine config coverage ~l1:ctx.Context.l1
+  in
   let recorder = machine.Machine.recorder in
   let last_spawn_cycle = ref 0 in
   (* Histogram handles resolved once per run; spawns observe through them
@@ -245,7 +243,7 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) machine =
        spawn ordinal, which indexes the run's [nt_records] (spawn order). *)
     if obs then Coverage.set_nt_seq coverage !spawns;
     let record =
-      Nt_path.run ?fix_override machine config coverage ~arena:nt_arena ~l1
+      Nt_path.run ?fix_override machine ~arena:nt_arena ~l1
         ~regs:ctx.Context.regs ~entry ~spawn_br_pc:br_pc ~forced_direction
         ~path_id
     in
@@ -253,7 +251,6 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) machine =
     if Recorder.enabled recorder then Recorder.set_base recorder 0;
     Telemetry.hist_observe h_len record.Nt_path.insns;
     Telemetry.hist_observe h_dirty record.Nt_path.squashed_lines;
-    nt_insns := !nt_insns + record.Nt_path.insns;
     record
   in
   let spawn_standard ~entry ~br_pc ~forced_direction =
@@ -384,11 +381,11 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) machine =
     then max_int (* every branch deoptimizes *)
     else config.Pe_config.nt_counter_threshold
   in
-  let bits = Bitbuf.create ~capacity_bits:(1 lsl 16) () in
   (* One fast-tier handle for the whole run: segments then allocate
-     nothing (closures, branch log and exit flushing all live in the
-     handle — see Fast_loop). *)
-  let fl = Fast_loop.make machine ctx coverage ~bits in
+     nothing (see Fast_loop). *)
+  let fl =
+    Fast_loop.make machine ctx coverage ~sandbox:None ~spawning ~threshold
+  in
   let fast_insns = ref 0 in
   let fast_segments = ref 0 in
   let fast_branch_bits = ref 0 in
@@ -434,15 +431,16 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) machine =
           min (fuel - insns)
             (!last_reset + config.Pe_config.counter_reset_interval - insns)
         in
-        Bitbuf.clear bits;
-        let fstop = Fast_loop.run fl ~spawning ~threshold ~budget in
+        let branches = ctx.Context.stats.Context.branches in
+        let fstop = Fast_loop.run fl ~budget in
         let retired = Fast_loop.retired fl in
         if retired > 0 then begin
           (* The fast tier bumped the context's stats itself; the global
              retired-instruction index (report provenance) follows here. *)
           machine.Machine.insn_index <- machine.Machine.insn_index + retired;
           fast_insns := !fast_insns + retired;
-          fast_branch_bits := !fast_branch_bits + Bitbuf.length bits;
+          fast_branch_bits :=
+            !fast_branch_bits + ctx.Context.stats.Context.branches - branches;
           incr fast_segments
         end;
         match fstop with
@@ -456,6 +454,9 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) machine =
         | Fast_loop.Special_branch_nontaken ->
           if obs then incr d_branch;
           step_slow 0
+        (* Unreachable: the handle is unsandboxed (see [Cpu.Ev_overflow]
+           below). *)
+        | Fast_loop.Overflow -> `Faulted Cpu.Sandbox_overflow
       end
       else begin
         (* Instrumented-tier instruction outside the fast/slow split: either
@@ -535,15 +536,6 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) machine =
         Cache.record_telemetry l1 tel ~prefix:(Printf.sprintf "l1.core%d" (i + 1)))
       (Lazy.force cmp_l1s);
   Btb.record_telemetry machine.Machine.btb tel ~prefix:"btb";
-  (* Phase split, derived once per run instead of clocked twice per spawn:
-     apportion the measured wall time by retired-instruction share. *)
-  let run_wall = Telemetry.timer_total tel "engine.run" in
-  let total_insns = ctx.Context.stats.Context.insns + !nt_insns in
-  if !nt_insns > 0 && total_insns > 0 then
-    Telemetry.timer_record tel "phase.nt_path"
-      (run_wall *. float_of_int !nt_insns /. float_of_int total_insns);
-  Telemetry.gauge tel "phase.taken_s"
-    (run_wall -. Telemetry.timer_total tel "phase.nt_path");
   Telemetry.submit tel;
   Recorder.submit ~label:(Telemetry.label tel) recorder;
   {

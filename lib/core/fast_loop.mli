@@ -1,95 +1,85 @@
-(** The selective fast tier: a stripped taken-path interpreter that commits
-    exactly the observable state transitions of the instrumented tier
-    ([Cpu.step] under {!Engine.run}) for the instructions it executes, and
-    stops — committing nothing — immediately before any instruction that
-    needs detector, watchpoint, syscall, recorder or spawn machinery. The
-    engine then executes that instruction on the instrumented tier
-    (deoptimization, not re-execution), keeping every observable bit-for-bit
-    identical to a fully instrumented run.
+(** The selective fast tier: one stripped interpreter for the taken path and
+    for NT-Paths. It commits exactly the observable state transitions of the
+    instrumented tier ([Cpu.step] under {!Engine.run} or {!Nt_path.run}) for
+    the instructions it executes, and stops — committing nothing —
+    immediately before any instruction that needs detector, watchpoint,
+    syscall, recorder or spawn machinery. The caller then executes that
+    instruction on the instrumented tier (deoptimization, not
+    re-execution), keeping every observable bit-for-bit identical to a fully
+    instrumented run.
 
-    Both tiers are packaged as handles ({!make}/{!make_nt}) built once per
-    run (or per NT arena) so that a segment call allocates nothing: per-call
-    parameters travel through the handle, exit state is flushed straight
-    into the context, and the stop constructors are all constant. *)
+    The two path kinds differ only in data fixed when the handle is built:
+    the sandbox memory goes through, the cache owner and speculative flag,
+    the coverage bitmaps written and the branch policy. A handle is built
+    once per run (or per NT arena) so that a segment call allocates nothing:
+    the per-segment budget travels through the handle, exit state is
+    flushed straight into the context, and the stop constructors are all
+    constant. *)
 
 type stop =
-  | Budget  (** segment budget exhausted (fuel or counter-reset boundary) *)
+  | Budget  (** segment budget exhausted *)
   | Special
       (** the instruction at [ctx.pc] needs the instrumented tier; nothing
           about it has been committed *)
   | Special_branch_taken
       (** a spawn-candidate conditional branch at [ctx.pc]; the fast tier
-          evaluated its condition as taken (cross-checked against the
-          instrumented tier's own evaluation) *)
+          evaluated its condition as taken (the engine cross-checks it
+          against the instrumented tier's own evaluation) *)
   | Special_branch_nontaken
       (** like [Special_branch_taken] with the condition not taken *)
+  | Overflow
+      (** NT-Paths only: a sandboxed store overflowed the path's L1 line
+          budget. The store has retired (stats and latency charged, [ctx.pc]
+          left on it) — exactly the state the instrumented tier's raise
+          leaves behind *)
 
-(** A taken-path fast-tier handle, bound to one machine, primary context,
-    coverage sink and branch-direction log. *)
+(** A fast-tier handle, bound to one machine, context, coverage sink and
+    path kind. *)
 type t
 
-val make : Machine.t -> Context.t -> Coverage.t -> bits:Bitbuf.t -> t
+(** [make machine ctx coverage ~sandbox ~spawning ~threshold].
 
-(** [run t ~spawning ~threshold ~budget] executes up to [budget]
-    instructions of the taken path on the fast tier, starting at [ctx.pc].
-    [spawning] is false when branches take no instrumented-tier action at
-    all ({!Pe_config.Baseline} without profiled fixing: no BTB traffic,
-    branches never deoptimize); otherwise any branch whose forced-edge
-    counter probes below [threshold] (or misses the BTB) stops the segment.
-    Passing [threshold = max_int] therefore deoptimizes at *every* branch —
-    how the engine keeps straight-line code fast under configurations with
-    per-branch actions (random spawning's RNG draw, profiled fixing's
-    observation, spawn-everywhere). Taken branch directions are appended to
-    the handle's [bits].
+    [sandbox = None] builds the taken-path tier: direct memory, committed
+    non-speculative cache ownership, taken-path coverage. [Some sb] builds
+    the NT-Path tier for a context sandboxed in [sb]: memory through the
+    sandbox (buffered writes that can [Overflow]), the path's version tag
+    as speculative cache owner — re-read from [ctx.l1] and [sb] at every
+    {!run}, so per-spawn retargeting needs no rebuild — and NT-Path
+    coverage.
 
-    Retired instructions are already added to [ctx]'s stats when this
-    returns (read the count with {!retired}; the caller must add it to
-    [Machine.insn_index]). [ctx.pc] is left at the next instruction to
-    execute — for [Special]/[Special_branch_*], the instruction the
-    instrumented tier must run.
+    [spawning = false] follows every conditional branch's actual condition
+    on the fast tier with no BTB traffic: the taken path under
+    {!Pe_config.Baseline} without profiled fixing, and every NT-Path's
+    inner branches. Otherwise a branch whose forced-edge counter probes
+    below [threshold] (or misses the BTB) stops the segment. Passing
+    [threshold = max_int] stops before *every* branch without touching the
+    BTB — how configurations with per-branch actions keep straight-line
+    code fast: random spawning's RNG draw, profiled fixing's observation,
+    spawn-everywhere, and the [follow_nontaken_in_nt] ablation's cold-edge
+    choice at NT-Path inner branches.
 
-    Preconditions (enforced by {!Engine.run}): [ctx] is the primary,
-    unsandboxed context; no watchpoints armed; no store hook; and under
-    per-branch-action configurations (random spawning, profiled fixing,
-    spawn-everywhere), [spawning = true] with [threshold = max_int]. *)
-val run : t -> spawning:bool -> threshold:int -> budget:int -> stop
+    Raises [Invalid_argument] if [coverage] is not over [machine]'s
+    program. *)
+val make :
+  Machine.t ->
+  Context.t ->
+  Coverage.t ->
+  sandbox:Context.sandbox option ->
+  spawning:bool ->
+  threshold:int ->
+  t
+
+(** [run t ~budget] executes up to [budget] instructions on the fast tier,
+    starting at [ctx.pc]. Retired instructions are already added to [ctx]'s
+    stats when this returns (read the count with {!retired}; the caller
+    must add it to [Machine.insn_index]). [ctx.pc] is left at the next
+    instruction to execute — for [Special]/[Special_branch_*], the
+    instruction the instrumented tier must run.
+
+    Preconditions (enforced by {!Engine.run} and {!Nt_path.run}): [ctx] is
+    sandboxed in the handle's sandbox, or unsandboxed for [None]; no
+    watchpoints armed; no store hook. *)
+val run : t -> budget:int -> stop
 
 (** Instructions retired by the most recent {!run} segment. *)
 val retired : t -> int
-
-type nt_stop =
-  | Nt_budget  (** [MaxNTPathLength] reached *)
-  | Nt_special
-      (** the instruction at [ctx.pc] needs the instrumented tier; nothing
-          about it has been committed *)
-  | Nt_overflow
-      (** a sandboxed store overflowed the path's L1 line budget; the store
-          has retired (stats and latency charged, [ctx.pc] left on it) —
-          exactly the state the instrumented tier's raise leaves behind *)
-
-(** An NT-Path fast-tier handle, bound to one machine, pooled NT context,
-    pooled sandbox and coverage sink (see {!Nt_path.make_arena}). The
-    context's L1 and the sandbox's path id are re-read at every segment, so
-    per-spawn retargeting (CMP core L1s, fresh 8-bit path ids) needs no
-    handle rebuild. *)
-type nt
-
-val make_nt : Machine.t -> Context.t -> Context.sandbox -> Coverage.t -> nt
-
-(** [run_nt t ~deopt_branches ~budget] is the NT-Path fast tier: the same
-    stop-before-special discipline as {!run}, with memory routed through
-    the sandbox (speculative cache ownership, buffered writes), NT-Path
-    coverage recording, actual-condition branch following and no BTB
-    traffic. [deopt_branches] (the [follow_nontaken_in_nt] ablation, whose
-    inner-branch edge selection consults the BTB) stops the segment before
-    every conditional branch instead. Retired instructions are already in
-    [ctx]'s stats (read the count with {!nt_retired}; the caller must add
-    it to [Machine.insn_index]).
-
-    Preconditions (enforced by {!Nt_path.run}): [ctx] is sandboxed in the
-    handle's sandbox; no watchpoints armed; no store hook; [deopt_branches]
-    is set iff the configuration forces cold edges inside NT-Paths. *)
-val run_nt : nt -> deopt_branches:bool -> budget:int -> nt_stop
-
-(** Instructions retired by the most recent {!run_nt} segment. *)
-val nt_retired : nt -> int

@@ -36,17 +36,17 @@ let is_unsafe record =
 
 (* Pooled spawn state: one context, one overlay sandbox, one fast-tier
    handle and the per-spawn telemetry counter handles, recycled across every
-   NT-Path an engine run spawns. A spawn is then a register blit plus O(1)
-   resets instead of a context, two tables, a journal and a segment's worth
-   of closures allocated and thrown away per path — and its termination
-   accounting is five pre-resolved counter bumps instead of five string
-   hashes. *)
+   NT-Path an engine run spawns, bound to that run's configuration and
+   coverage sink. A spawn is then a register blit plus O(1) resets instead
+   of a context, two tables, a journal and a segment's worth of closures
+   allocated and thrown away per path — and its termination accounting is
+   five pre-resolved counter bumps instead of five string hashes. *)
 type arena = {
+  config : Pe_config.t;
+  coverage : Coverage.t;
   ctx : Context.t;
   sandbox : Context.sandbox;
-  mutable fl : Fast_loop.nt option;
-      (* built lazily on the first spawn: the coverage sink only reaches
-         this module through [run] *)
+  fl : Fast_loop.t;
   c_term : Telemetry.counter_handle array;  (* indexed by [term_index] *)
   c_insns : Telemetry.counter_handle;
   c_fast_insns : Telemetry.counter_handle;
@@ -65,15 +65,27 @@ let all_terminations =
   [| T_max_length; T_crash Cpu.Div_by_zero; T_unsafe Insn.Sys_exit;
      T_program_end; T_cache_overflow |]
 
-let make_arena machine ~l1 =
+let make_arena machine config coverage ~l1 =
   let tel = machine.Machine.telemetry in
+  let ctx = Context.create ~l1 ~pc:0 ~sp:0 in
+  let sandbox =
+    Context.make_sandbox ~path_id:Cache.committed_owner
+      ~line_limit:(Machine_config.l1_lines machine.Machine.config)
+      ~words_per_line:(Machine_config.words_per_line machine.Machine.config)
+  in
   {
-    ctx = Context.create ~l1 ~pc:0 ~sp:0;
-    sandbox =
-      Context.make_sandbox ~path_id:Cache.committed_owner
-        ~line_limit:(Machine_config.l1_lines machine.Machine.config)
-        ~words_per_line:(Machine_config.words_per_line machine.Machine.config);
-    fl = None;
+    config;
+    coverage;
+    ctx;
+    sandbox;
+    (* Inner branches follow the actual condition with no BTB traffic. The
+       [follow_nontaken_in_nt] ablation consults the BTB at every inner
+       branch, so there the fast tier stops before each one instead
+       ([threshold = max_int] never touches the BTB) and straight-line
+       stretches stay fast. *)
+    fl =
+      Fast_loop.make machine ctx coverage ~sandbox:(Some sandbox)
+        ~spawning:config.Pe_config.follow_nontaken_in_nt ~threshold:max_int;
     c_term =
       Array.map
         (fun t -> Telemetry.counter_handle tel ("nt.term." ^ termination_name t))
@@ -97,8 +109,9 @@ let make_arena machine ~l1 =
    Inner branches follow the actual condition; with
    [follow_nontaken_in_nt] (the Section 4.2 ablation) a cold non-taken edge
    is forced instead, without any consistency fix. *)
-let run ?fix_override machine (config : Pe_config.t) coverage ~arena ~l1 ~regs
-    ~entry ~spawn_br_pc ~forced_direction ~path_id =
+let run ?fix_override machine ~arena ~l1 ~regs ~entry ~spawn_br_pc
+    ~forced_direction ~path_id =
+  let config = arena.config and coverage = arena.coverage in
   let ctx = arena.ctx in
   Context.reset_for_spawn ctx ~l1 ~pc:entry;
   Array.blit regs 0 ctx.Context.regs 0 Reg.count;
@@ -131,27 +144,13 @@ let run ?fix_override machine (config : Pe_config.t) coverage ~arena ~l1 ~regs
       true
     | Insn.Sys_exit -> false
   in
-  (* Selective fast tier inside the path. When the run forces cold edges at
-     inner branches ([follow_nontaken_in_nt], which needs per-branch BTB
-     counts), the fast tier deoptimizes at every branch instead of being
-     disabled — straight-line stretches stay fast. Watchpoints and the store
-     hook are rechecked every iteration — the path itself arms and disarms
-     them. *)
+  (* Selective fast tier inside the path: the arena's handle is bound to
+     exactly this path's context and sandbox, and re-reads the context's L1
+     and the sandbox's path id per segment, covering per-spawn retargeting.
+     Watchpoints and the store hook are rechecked every iteration — the
+     path itself arms and disarms them. *)
   let fast_ok = Pe_config.selective_on config in
-  let deopt_branches = config.Pe_config.follow_nontaken_in_nt in
-  (* One fast-tier handle per arena (built on the first spawn, when the
-     run's coverage sink is first in hand): segments after that allocate
-     nothing. The handle is bound to the arena's context and sandbox, which
-     are exactly this path's — and it re-reads the context's L1 and the
-     sandbox's path id per segment, covering per-spawn retargeting. *)
-  let fl =
-    match arena.fl with
-    | Some fl -> fl
-    | None ->
-      let fl = Fast_loop.make_nt machine ctx sandbox coverage in
-      arena.fl <- Some fl;
-      fl
-  in
+  let fl = arena.fl in
   let fast_insns = ref 0 in
   let rec loop () =
     if ctx.Context.stats.Context.insns >= config.Pe_config.max_nt_path_length
@@ -166,16 +165,18 @@ let run ?fix_override machine (config : Pe_config.t) coverage ~arena ~l1 ~regs
       let budget =
         config.Pe_config.max_nt_path_length - ctx.Context.stats.Context.insns
       in
-      let fstop = Fast_loop.run_nt fl ~deopt_branches ~budget in
-      let retired = Fast_loop.nt_retired fl in
+      let fstop = Fast_loop.run fl ~budget in
+      let retired = Fast_loop.retired fl in
       (* The fast tier bumped the context's stats; the global index (report
          provenance) follows here, before any instrumented-tier report. *)
       machine.Machine.insn_index <- machine.Machine.insn_index + retired;
       fast_insns := !fast_insns + retired;
       match fstop with
-      | Fast_loop.Nt_budget -> T_max_length
-      | Fast_loop.Nt_special -> step_slow ()
-      | Fast_loop.Nt_overflow -> T_cache_overflow
+      | Fast_loop.Budget -> T_max_length
+      | Fast_loop.Special | Fast_loop.Special_branch_taken
+      | Fast_loop.Special_branch_nontaken ->
+        step_slow ()
+      | Fast_loop.Overflow -> T_cache_overflow
     end
     else step_slow ()
   and step_slow () =

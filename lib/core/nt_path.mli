@@ -32,26 +32,26 @@ val termination_name : termination -> string
 val is_crash : record -> bool
 val is_unsafe : record -> bool
 
-(** Pooled spawn state — a context and an overlay sandbox recycled across
-    every NT-Path of an engine run, so a spawn allocates nothing. *)
+(** Pooled spawn state — a context, an overlay sandbox and a fast-tier
+    handle recycled across every NT-Path of an engine run, so a spawn
+    allocates nothing. *)
 type arena
 
-(** One arena for a machine's geometry; the L1 is retargeted per spawn. *)
-val make_arena : Machine.t -> l1:Cache.t -> arena
+(** One arena for a machine's geometry, bound to the run's configuration and
+    coverage sink; the L1 is retargeted per spawn. *)
+val make_arena : Machine.t -> Pe_config.t -> Coverage.t -> l1:Cache.t -> arena
 
 (** Execute one NT-Path to termination. [regs] is the spawning core's
     register file (copied, never mutated); [l1] the cache the path runs
     against (the primary core's in the standard configuration, an idle
-    core's under the CMP option); [path_id] its cache version tag. With
-    [config.sandbox_syscalls] (the OS-support extension) I/O syscalls are
+    core's under the CMP option); [path_id] its cache version tag. With the
+    arena's [config.sandbox_syscalls] (the OS-support extension) I/O syscalls are
     virtualised instead of terminating the path. [fix_override] (the
     profiled-fixing extension) writes the given (address, value) into the
     sandbox at entry and suppresses the boundary stubs. *)
 val run :
   ?fix_override:int * int ->
   Machine.t ->
-  Pe_config.t ->
-  Coverage.t ->
   arena:arena ->
   l1:Cache.t ->
   regs:int array ->

@@ -17,25 +17,7 @@ let check_output name source expected =
 let test_cache_overflow_terminates_path () =
   (* the forced edge dirties more distinct L1 lines than the cache can
      buffer: the paper's capacity-driven squash *)
-  let source =
-    {|
-int flag = 0;
-int big[48000];
-int main() {
-  int i;
-  for (i = 0; i < 4; i = i + 1) {
-    if (flag == 1) {
-      int j;
-      for (j = 0; j < 6000; j = j + 1) {
-        big[j * 8] = j;
-      }
-    }
-  }
-  return 0;
-}
-|}
-  in
-  let compiled = Compile.compile source in
+  let compiled = Compile.compile Programs.cache_overflow in
   let machine = Machine.create compiled.Compile.program in
   let config =
     { Pe_config.default with Pe_config.max_nt_path_length = 1_000_000 }

@@ -281,50 +281,6 @@ let test_dump_pass_hook () =
 
 (* --- the -O0 = -O2 QCheck differential ----------------------------------- *)
 
-(* PR 4's random-program shape (test_selective.ml), enriched with locals the
-   register allocator will promote and a helper call: iterated clauses of
-   data-dependent branches, shifts and guarded divisions. *)
-type clause = { mul : int; modulus : int; bound : int; shift : int }
-
-let clause_src i cl =
-  Printf.sprintf
-    "    if ((i * %d) %% %d < %d) { acc = acc + ((i << %d) - (acc >> 1)); }\n\
-    \    else { acc = acc - (i %% %d) - %d; }\n\
-    \    if (acc %% 97 == %d) { acc = acc + step(i); }\n"
-    cl.mul cl.modulus cl.bound cl.shift cl.modulus (i + 1)
-    ((cl.mul + cl.bound) mod 97)
-
-let program_src (iters, clauses) =
-  Printf.sprintf
-    "int last = 0;\n\
-     int step(int i) { return 1000 / (1 + (i %% 7)); }\n\
-     int main() {\n\
-    \  int i;\n\
-    \  int acc;\n\
-    \  acc = 0;\n\
-    \  for (i = 0; i < %d; i = i + 1) {\n\
-     %s\
-    \  }\n\
-    \  last = acc;\n\
-    \  print_int(acc);\n\
-    \  return acc %% 5;\n\
-     }\n"
-    iters
-    (String.concat "" (List.mapi clause_src clauses))
-
-let clause_gen =
-  QCheck.Gen.(
-    map
-      (fun (mul, modulus, bound, shift) ->
-        { mul = 1 + mul; modulus = 2 + modulus; bound; shift })
-      (quad (int_bound 6) (int_bound 7) (int_bound 9) (int_bound 5)))
-
-let program_gen =
-  QCheck.Gen.(
-    pair
-      (map (fun n -> 2 + n) (int_bound 18))
-      (list_size (map (fun n -> 1 + n) (int_bound 3)) clause_gen))
-
 (* Exit code, output, and the observable final memory: every named global of
    the image read back after the run. *)
 let observables level source =
@@ -348,8 +304,8 @@ let observables level source =
 
 let prop_opt_differential =
   QCheck.Test.make ~name:"random programs: -O2 = -O0 observables" ~count:25
-    (QCheck.make ~print:program_src program_gen) (fun params ->
-      let source = program_src params in
+    Programs.random_arbitrary (fun params ->
+      let source = Programs.random_src params in
       observables Opt.O0 source = observables Opt.O2 source)
 
 let tests =

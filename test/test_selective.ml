@@ -193,6 +193,7 @@ let observables machine (result : Engine.result) =
      result.Engine.profiled_overrides),
     ( Coverage.taken_edges result.Engine.coverage,
       Coverage.combined_edges result.Engine.coverage ),
+    result.Engine.nt_records,
     Report.entries machine.Machine.reports,
     Machine.output machine )
 
@@ -204,12 +205,10 @@ let run_traced ~selective ~config ~input compiled =
       in
       (machine, result))
 
-(* One workload under one configuration: run fully instrumented and
+(* One program under one configuration: run fully instrumented and
    selectively, then demand identical observables — including the flight
    recorder's event stream. *)
-let check_differential name ?detector ?bug ~config workload =
-  let compiled = Workload.compile ?detector ?bug workload in
-  let input = workload.Workload.default_input in
+let check_compiled name ~config ~input compiled =
   let (m_off, r_off), dumps_off =
     run_traced ~selective:false ~config ~input compiled
   in
@@ -225,6 +224,10 @@ let check_differential name ?detector ?bug ~config workload =
     (List.map Recorder.jsonl_of_dump dumps_off)
     (List.map Recorder.jsonl_of_dump dumps_on);
   (r_off, r_on)
+
+let check_differential name ?detector ?bug ~config workload =
+  check_compiled name ~config ~input:workload.Workload.default_input
+    (Workload.compile ?detector ?bug workload)
 
 let test_differential_workloads () =
   let pt = Registry.print_tokens in
@@ -276,56 +279,47 @@ let test_differential_per_branch_configs () =
 
 (* --- random-program differential --------------------------------------------- *)
 
-(* Small MiniC programs with data-dependent and cold branches, shifts and
-   guarded divisions: enough structure to exercise spawns, deoptimizations
-   and the ALU paths the shift fix touched. *)
-type clause = { mul : int; modulus : int; bound : int; shift : int }
-
-let clause_src i cl =
-  Printf.sprintf
-    "    if ((i * %d) %% %d < %d) { acc = acc + ((i << %d) - (acc >> 1)); }\n\
-    \    else { acc = acc - (i %% %d) - %d; }\n\
-    \    if (acc %% 97 == %d) { acc = acc + 1000 / (1 + (i %% 7)); }\n"
-    cl.mul cl.modulus cl.bound cl.shift cl.modulus (i + 1)
-    ((cl.mul + cl.bound) mod 97)
-
-let program_src (iters, clauses) =
-  Printf.sprintf
-    "int acc = 0;\n\
-     int main() {\n\
-    \  int i;\n\
-    \  for (i = 0; i < %d; i = i + 1) {\n\
-     %s\
-    \  }\n\
-    \  print_int(acc);\n\
-    \  return 0;\n\
-     }\n"
-    iters
-    (String.concat "" (List.mapi clause_src clauses))
-
-let clause_gen =
-  QCheck.Gen.(
-    map
-      (fun (mul, modulus, bound, shift) ->
-        { mul = 1 + mul; modulus = 2 + modulus; bound; shift })
-      (quad (int_bound 6) (int_bound 7) (int_bound 9) (int_bound 5)))
-
-let program_gen =
-  QCheck.Gen.(pair (map (fun n -> 2 + n) (int_bound 18))
-                (list_size (map (fun n -> 1 + n) (int_bound 3)) clause_gen))
-
+(* Random programs (see Programs) under the standard configuration, CMP,
+   and the [follow_nontaken_in_nt] ablation, whose NT-Path fast tier stops
+   before every inner branch. *)
 let prop_random_program_differential =
   QCheck.Test.make ~name:"random programs: selective = instrumented" ~count:25
-    (QCheck.make ~print:program_src program_gen) (fun params ->
-      let source = program_src params in
-      let compiled = Compile.compile source in
-      let run selective =
+    Programs.random_arbitrary (fun params ->
+      let compiled = Compile.compile (Programs.random_src params) in
+      let run config selective =
         let machine = Machine.create compiled.Compile.program in
-        let config = { Pe_config.default with Pe_config.selective } in
-        let result = Engine.run ~config machine in
+        let result =
+          Engine.run ~config:{ config with Pe_config.selective } machine
+        in
         observables machine result
       in
-      run false = run true)
+      List.for_all
+        (fun config -> run config false = run config true)
+        [
+          Pe_config.default;
+          { Pe_config.default with Pe_config.mode = Pe_config.Cmp };
+          { Pe_config.default with Pe_config.follow_nontaken_in_nt = true };
+        ])
+
+(* --- cache-overflow differential --------------------------------------------- *)
+
+(* No workload in the sweep overflows an NT-Path's L1 buffering, so the
+   fast tier's [Overflow] stop — the one case it commits by doing the
+   store — is pinned here: the overflowing program must produce identical
+   observables, NT-Path records included, on both tiers. *)
+let test_overflow_differential () =
+  let config =
+    { Pe_config.default with Pe_config.max_nt_path_length = 1_000_000 }
+  in
+  let _, r_on =
+    check_compiled "cache overflow" ~config ~input:""
+      (Compile.compile Programs.cache_overflow)
+  in
+  Alcotest.(check bool) "some path overflowed L1 buffering" true
+    (List.exists
+       (fun (r : Nt_path.record) ->
+         r.Nt_path.termination = Nt_path.T_cache_overflow)
+       r_on.Engine.nt_records)
 
 let tests =
   [
@@ -346,4 +340,6 @@ let tests =
     Alcotest.test_case "per-branch-action configs stay equivalent" `Quick
       test_differential_per_branch_configs;
     QCheck_alcotest.to_alcotest prop_random_program_differential;
+    Alcotest.test_case "cache-overflow program: selective = instrumented"
+      `Quick test_overflow_differential;
   ]
