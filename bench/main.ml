@@ -162,31 +162,20 @@ let write_json ~path ~sweep_walls ~o2_walls ~baseline ~jobs =
     Build_info.profile
     (100.0 *. float_of_int (t0 - t2) /. float_of_int t0)
 
-(* One timed serial sweep, optionally flight-recorded. The capture costs
-   allocation and time, so the recorded sweep's wall time is measured but
-   only the untraced configuration is comparable against historical BENCH
-   files. [level] pins the optimizer level every compilation in the sweep
-   uses (the -O2 leg of the trajectory); the process default is restored
-   afterwards. *)
-let timed_sweep ?(level = Opt.O0) ~trace_dir () =
+(* One timed serial sweep. [level] pins the optimizer level every
+   compilation in the sweep uses (the -O2 leg of the trajectory); the
+   process default is restored afterwards. *)
+let timed_sweep ?(level = Opt.O0) () =
   Opt.set_default level;
   Fun.protect
     ~finally:(fun () -> Opt.set_default Opt.O0)
     (fun () ->
       let t0 = Unix.gettimeofday () in
-      (match trace_dir with
-       | None -> Runner.run_all ~jobs:1 ()
-       | Some dir ->
-         let (), dumps =
-           Recorder.capture_runs (fun () -> Runner.run_all ~jobs:1 ())
-         in
-         let files = Recorder.save_dir ~dir dumps in
-         Printf.eprintf "traces: %d runs -> %s\n%!" (List.length files) dir);
+      Runner.run_all ~jobs:1 ();
       Unix.gettimeofday () -. t0)
 
 let () =
   let json_path = ref "BENCH.json" in
-  let trace_dir = ref None in
   let baseline = ref None in
   let repeat = ref 1 in
   let rec parse = function
@@ -202,15 +191,9 @@ let () =
       if n < 1 then invalid_arg "bench: --repeat wants a positive count";
       repeat := n;
       parse rest
-    | "--trace-dir" :: dir :: rest ->
-      trace_dir := Some dir;
-      parse rest
     | arg :: _ -> invalid_arg ("bench: unknown argument " ^ arg)
   in
   parse (List.tl (Array.to_list Sys.argv));
-  (* Tracing changes what a sweep costs, so repeated timing of a traced
-     sweep would only measure the recorder; force a single run. *)
-  if !trace_dir <> None then repeat := 1;
   print_endline "=== PathExpander: full reproduction of the evaluation ===";
   (* The whole bench runs serial — including nested fan-out inside
      experiments — so the sweep wall time in the JSON measures single-core
@@ -218,7 +201,7 @@ let () =
   Exp_common.set_jobs 1;
   let sweep_walls = Array.make !repeat 0.0 in
   let o2_walls = Array.make !repeat 0.0 in
-  sweep_walls.(0) <- timed_sweep ~trace_dir:!trace_dir ();
+  sweep_walls.(0) <- timed_sweep ();
   (* Repeats exist to reject scheduler noise on shared hosts: the sweep is
      deterministic, so min over repeats is the honest throughput figure.
      Later runs print the identical report, so silence stdout for them —
@@ -236,10 +219,10 @@ let () =
       Unix.close saved)
     (fun () ->
       for i = 1 to !repeat - 1 do
-        sweep_walls.(i) <- timed_sweep ~trace_dir:None ()
+        sweep_walls.(i) <- timed_sweep ()
       done;
       for i = 0 to !repeat - 1 do
-        o2_walls.(i) <- timed_sweep ~level:Opt.O2 ~trace_dir:None ()
+        o2_walls.(i) <- timed_sweep ~level:Opt.O2 ()
       done);
   write_json ~path:!json_path ~sweep_walls ~o2_walls ~baseline:!baseline
     ~jobs:1

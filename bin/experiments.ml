@@ -21,19 +21,9 @@ let experiments_for ids =
         exit 1)
     ids
 
-(* Per-run lines sorted by label (submission order is nondeterministic under
-   --jobs > 1), then the cross-run aggregate as the final line. *)
+(* Per-run lines in the capture's canonical order, then the cross-run
+   aggregate as the final line. *)
 let write_telemetry oc file runs =
-  (* labels can collide (the same app/mode under different experiment
-     configs), so tie-break on deterministic simulation counters to keep the
-     file order independent of submission order *)
-  let key t =
-    ( Telemetry.label t,
-      Telemetry.counter t "engine.total_cycles",
-      Telemetry.counter t "taken.insns",
-      Telemetry.counter t "engine.spawns" )
-  in
-  let runs = List.sort (fun a b -> compare (key a) (key b)) runs in
   List.iter (fun t -> output_string oc (Telemetry.to_json t ^ "\n")) runs;
   output_string oc (Telemetry.aggregate_json runs ^ "\n");
   close_out oc;
@@ -59,8 +49,9 @@ let jobs_arg =
 
 let telemetry_arg =
   let doc =
-    "Write per-run telemetry to $(docv): one JSON object per run (sorted by \
-     label) plus a final aggregate line."
+    "Write per-run telemetry to $(docv): one JSON object per run (ordered by \
+     label, then content) plus a final aggregate line. Everything but the \
+     wall-clock $(b,timers) is byte-identical serial or under $(b,--jobs)."
   in
   Arg.(
     value & opt (some string) None & info [ "telemetry" ] ~docv:"FILE" ~doc)
@@ -130,42 +121,44 @@ let main list jobs telemetry selective opt trace_dir obs_dir ids =
     in
     prepare_dir "trace" trace_dir;
     prepare_dir "obs" obs_dir;
-    let run () = Runner.run_list experiments in
-    (* Trace capture wraps the sweep (innermost) so it composes with
-       --telemetry; each finished run submits an immutable event dump. *)
-    let run () =
-      match trace_dir with
-      | None -> run ()
-      | Some dir ->
-        let v, dumps = Recorder.capture_runs run in
-        let files = Recorder.save_dir ~dir dumps in
-        Printf.eprintf "traces: %d runs -> %s\n%!" (List.length files) dir;
-        v
+    (* open before the (possibly minutes-long) sweep so a bad path fails
+       fast instead of discarding finished runs *)
+    let telemetry =
+      Option.map
+        (fun file ->
+          try (open_out file, file)
+          with Sys_error msg ->
+            Printf.eprintf "cannot open telemetry file: %s\n" msg;
+            exit 1)
+        telemetry
     in
-    (* Observatory capture composes the same way; it also arms the engine's
-       per-run attribution bookkeeping for the duration of the sweep. *)
-    let run () =
-      match obs_dir with
-      | None -> run ()
-      | Some dir ->
-        let v, snaps = Obs.capture_runs run in
-        let files = Obs.save_dir ~dir snaps in
-        Printf.eprintf "obs: %d runs -> %s\n%!" (List.length files) dir;
-        v
+    let written what dir files =
+      Printf.eprintf "%s: %d runs -> %s\n%!" what (List.length files) dir
     in
-    match telemetry with
-    | None -> run ()
-    | Some file ->
-      (* open before the (possibly minutes-long) sweep so a bad path fails
-         fast instead of discarding finished runs *)
-      let oc =
-        try open_out file
-        with Sys_error msg ->
-          Printf.eprintf "cannot open telemetry file: %s\n" msg;
-          exit 1
-      in
-      let (), runs = Telemetry.collect_runs run in
-      write_telemetry oc file runs
+    (* One collection around the sweep for every channel asked for. *)
+    let channels =
+      List.filter_map Fun.id
+        [
+          Option.map
+            (fun dir ->
+              Capture.Channel
+                (Recorder.capture,
+                 fun traces ->
+                   written "traces" dir (Recorder.save_traces ~dir traces)))
+            trace_dir;
+          Option.map
+            (fun dir ->
+              Capture.Channel
+                (Obs.capture,
+                 fun snaps -> written "obs" dir (Obs.save_dir ~dir snaps)))
+            obs_dir;
+          Option.map
+            (fun (oc, file) ->
+              Capture.Channel (Telemetry.capture, write_telemetry oc file))
+            telemetry;
+        ]
+    in
+    Capture.collect_all channels (fun () -> Runner.run_list experiments)
   end
 
 let cmd =

@@ -536,7 +536,7 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) machine =
         Cache.record_telemetry l1 tel ~prefix:(Printf.sprintf "l1.core%d" (i + 1)))
       (Lazy.force cmp_l1s);
   Btb.record_telemetry machine.Machine.btb tel ~prefix:"btb";
-  Telemetry.submit tel;
+  Capture.submit Telemetry.capture tel;
   Recorder.submit ~label:(Telemetry.label tel) recorder;
   {
     outcome;

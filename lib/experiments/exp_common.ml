@@ -42,8 +42,8 @@ let run_app ?(detector = Codegen.No_detector) ?(fixing = true) ?bug
   (* Observatory capture happens before release only by convention — release
      recycles the simulated address space, and the snapshot reads coverage,
      BTB and telemetry, all of which survive it. *)
-  if Obs.armed () then
-    Obs.submit
+  if Capture.active Obs.capture then
+    Capture.submit Obs.capture
       (Obs.snapshot
          ~label:(Telemetry.label machine.Machine.telemetry)
          ~program:compiled.Compile.program ~machine ~result ~config);

@@ -24,8 +24,8 @@ type t = {
           invariant monitor *)
   telemetry : Telemetry.t;
       (** per-run observability sink; the engine fills it with spawn,
-          termination, cache, BTB and phase-timing data and submits it to
-          the global collector at the end of the run *)
+          termination, cache, BTB and timer data and submits it to
+          {!Telemetry.capture} at the end of the run *)
   recorder : Recorder.t;
       (** per-run flight recorder of NT-Path lifecycle events in sim time;
           the {!Recorder.disabled} singleton unless tracing is armed (or an

@@ -8,8 +8,8 @@
    that ran the workload, from deterministic inputs only (coverage bitmaps,
    BTB state, simulation counters — never wall-clock), so a parallel sweep
    submits byte-identical snapshots in nondeterministic order and
-   [save_dir] restores a canonical order, exactly like the flight
-   recorder's trace capture.
+   {!Capture} restores a canonical order, exactly as for the flight
+   recorder's traces.
 
    Two sections of the JSON — "tiers" and "cache" — describe the execution
    *strategy* rather than the simulated program, so they legitimately
@@ -42,7 +42,7 @@ let schema_version = 1
      [Coverage.nt_first_seq] while the observatory is armed).
    - [nt-unattributed]: the sibling is NT-covered but carries no sequence
      stamp — only possible when the run executed without the observatory
-     armed (e.g. a snapshot taken outside [capture_runs]). *)
+     armed (e.g. a snapshot taken outside a {!capture} collection). *)
 
 type frontier_entry = {
   fr_pc : int;
@@ -111,54 +111,35 @@ let attribute ~(program : Program.t) ~(machine : Machine.t)
    isomorphic with shifted pcs, and [Cfg.enumerate_nodes] only reads the
    shape. A concurrent miss on two domains computes the (deterministic)
    result twice and keeps one — harmless. *)
-let prime_memo : (Program.t * (Cfg.t * Cfg.paths)) list ref = ref []
-let shape_memo : (int list array * Cfg.node_paths) list ref = ref []
-let prime_mutex = Mutex.create ()
+let shape_memo : (int list array * Cfg.node_paths) list Atomic.t = Atomic.make []
+let prime_memo : (Program.t * (Cfg.t * Cfg.paths)) list Atomic.t = Atomic.make []
+
+(* Lock-free: a value is published by compare-and-set, and a concurrent
+   miss keeps whichever value was published first. *)
+let memoize cell matches compute =
+  let find l = List.find_map (fun (k, v) -> if matches k then Some v else None) l in
+  match find (Atomic.get cell) with
+  | Some v -> v
+  | None ->
+    let key, v = compute () in
+    let rec publish () =
+      let cur = Atomic.get cell in
+      match find cur with
+      | Some v' -> v'
+      | None ->
+        if Atomic.compare_and_set cell cur ((key, v) :: cur) then v
+        else publish ()
+    in
+    publish ()
 
 let nodes_for cfg =
   let shape = Cfg.shape cfg in
-  let find () =
-    List.find_opt (fun (s, _) -> s = shape) !shape_memo
-  in
-  Mutex.lock prime_mutex;
-  let hit = find () in
-  Mutex.unlock prime_mutex;
-  match hit with
-  | Some (_, np) -> np
-  | None ->
-    let np = Cfg.enumerate_nodes cfg in
-    Mutex.lock prime_mutex;
-    (match find () with
-     | Some (_, np') ->
-       Mutex.unlock prime_mutex;
-       np'
-     | None ->
-       shape_memo := (shape, np) :: !shape_memo;
-       Mutex.unlock prime_mutex;
-       np)
+  memoize shape_memo (( = ) shape) (fun () -> (shape, Cfg.enumerate_nodes cfg))
 
 let primes_for program =
-  let find () =
-    List.find_opt (fun (p, _) -> p == program) !prime_memo
-  in
-  Mutex.lock prime_mutex;
-  let hit = find () in
-  Mutex.unlock prime_mutex;
-  match hit with
-  | Some (_, v) -> v
-  | None ->
-    let cfg = Cfg.of_program program in
-    let paths = Cfg.paths_of_nodes cfg (nodes_for cfg) in
-    let v = (cfg, paths) in
-    Mutex.lock prime_mutex;
-    (match find () with
-     | Some (_, v') ->
-       Mutex.unlock prime_mutex;
-       v'
-     | None ->
-       prime_memo := (program, v) :: !prime_memo;
-       Mutex.unlock prime_mutex;
-       v)
+  memoize prime_memo (( == ) program) (fun () ->
+      let cfg = Cfg.of_program program in
+      (program, (cfg, Cfg.paths_of_nodes cfg (nodes_for cfg))))
 
 (* ---- Snapshot ------------------------------------------------------------ *)
 
@@ -329,53 +310,13 @@ let snapshot ~label ~(program : Program.t) ~(machine : Machine.t)
   in
   { label; json }
 
-(* ---- Capture (mirrors the recorder / telemetry collector protocol) ------- *)
+(* ---- Capture ------------------------------------------------------------ *)
 
-let collector_mutex = Mutex.create ()
-let collector : (t -> unit) option ref = ref None
+let capture =
+  Capture.create ~arm:Pe_config.set_obs_enabled
+    ~key:(fun s -> (s.label, s.json))
 
-let armed () =
-  Mutex.lock collector_mutex;
-  let r = !collector <> None in
-  Mutex.unlock collector_mutex;
-  r
-
-let submit s =
-  Mutex.lock collector_mutex;
-  let c = !collector in
-  Mutex.unlock collector_mutex;
-  match c with None -> () | Some f -> f s
-
-(* Arm the observatory around [f]: the engine-side bookkeeping switch
-   ([Pe_config.set_obs_enabled]) plus a snapshot-accumulating collector.
-   Returns [f ()]'s value and the snapshots in submission order. *)
-let capture_runs f =
-  let acc = ref [] in
-  let acc_mutex = Mutex.create () in
-  Mutex.lock collector_mutex;
-  collector :=
-    Some
-      (fun s ->
-        Mutex.lock acc_mutex;
-        acc := s :: !acc;
-        Mutex.unlock acc_mutex);
-  Mutex.unlock collector_mutex;
-  Pe_config.set_obs_enabled true;
-  let finish () =
-    Pe_config.set_obs_enabled false;
-    Mutex.lock collector_mutex;
-    collector := None;
-    Mutex.unlock collector_mutex
-  in
-  match f () with
-  | v ->
-    finish ();
-    (v, List.rev !acc)
-  | exception e ->
-    finish ();
-    raise e
-
-(* ---- Directory export (the writer shared with Recorder.save_dir) -------- *)
+(* ---- Directory export (the writer shared with the flight recorder) ------ *)
 
 (* Snapshot JSON is one line; each file ends it with a newline. *)
 let save_dir ~dir snapshots =

@@ -19,8 +19,8 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
-(* Submission order is nondeterministic under a parallel sweep, so files
-   are ordered by (label, content) — identical sweeps name identical bytes
+(* Files are numbered in list order; a collected sweep arrives in
+   {!Capture}'s canonical order, so identical sweeps name identical bytes
    identically, serial or [--jobs N]. *)
 let save_dir ~dir ~prefix ~ext items =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
@@ -32,7 +32,7 @@ let save_dir ~dir ~prefix ~ext items =
       in
       write_file file contents;
       file)
-    (List.sort compare items)
+    items
 
 let prepare_dir dir =
   let fail msg = Error (Printf.sprintf "%s: %s" dir msg) in

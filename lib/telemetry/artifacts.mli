@@ -6,9 +6,10 @@
 (** [save_dir ~dir ~prefix ~ext items] writes one file per
     [(label, contents)] pair into [dir] (created if missing), named
     [<prefix>-NNNN-<label>.<ext>] with the label reduced to
-    [[A-Za-z0-9._-]]. Files are numbered in (label, contents) order, so a
-    parallel sweep writes byte-identical files to a serial one. Returns the
-    paths written, in that order. *)
+    [[A-Za-z0-9._-]]. Files are numbered in list order: pass items in
+    {!Capture}'s canonical order and a parallel sweep writes
+    byte-identical files to a serial one. Returns the paths written, in
+    that order. *)
 val save_dir :
   dir:string -> prefix:string -> ext:string -> (string * string) list ->
   string list

@@ -4,9 +4,6 @@
     exists so tests and CI can round-trip every emitted line without a JSON
     library dependency. *)
 
-(** Backslash-escape a string for embedding in a JSON string literal. *)
-val escape : string -> string
-
 (** A quoted, escaped JSON string literal. *)
 val jstr : string -> string
 

@@ -189,10 +189,9 @@ let events t =
 
 (* ---- Immutable per-run snapshot ----------------------------------------- *)
 
-(* A submitted run's trace: the retained events plus enough metadata to name
-   and validate the file. Snapshots, not live recorders, are what sweep
-   capture accumulates — the flat arrays go back to the GC with the
-   machine. *)
+(* A run's trace: the retained events plus enough metadata to name and
+   validate the file. The exporters render snapshots, not live
+   recorders. *)
 type dump = { label : string; events : event list; total : int; dropped : int }
 
 let dump ?(label = "") t =
@@ -389,68 +388,33 @@ let chrome_of_dump d =
 
 (* ---- Process-global capture (sweep tracing) ----------------------------- *)
 
-(* Mirrors the Telemetry collector: [set_tracing] arms machine creation
-   ([obtain] hands out fresh enabled recorders instead of the disabled
-   singleton) and engines [submit] finished runs as immutable dumps. *)
-let tracing_mutex = Mutex.create ()
-let tracing_capacity : int option ref = ref None
-let trace_collector : (dump -> unit) option ref = ref None
+(* [set_tracing] arms machine creation: [obtain] hands out fresh enabled
+   recorders instead of the disabled singleton. Collecting {!capture} arms
+   it too, and engines [submit] finished runs, rendered to JSONL in the
+   domain that ran them; the ring's arrays go back to the GC with the
+   machine. *)
+let tracing_capacity : int option Atomic.t = Atomic.make None
 
-let set_tracing cap =
-  Mutex.lock tracing_mutex;
-  tracing_capacity := cap;
-  Mutex.unlock tracing_mutex
-
-let tracing () =
-  Mutex.lock tracing_mutex;
-  let r = !tracing_capacity <> None in
-  Mutex.unlock tracing_mutex;
-  r
+let set_tracing cap = Atomic.set tracing_capacity cap
 
 let obtain () =
-  Mutex.lock tracing_mutex;
-  let cap = !tracing_capacity in
-  Mutex.unlock tracing_mutex;
-  match cap with None -> disabled | Some capacity -> create ~capacity ()
+  match Atomic.get tracing_capacity with
+  | None -> disabled
+  | Some capacity -> create ~capacity ()
+
+let capture =
+  Capture.create
+    ~arm:(fun on -> set_tracing (if on then Some default_capacity else None))
+    ~key:Fun.id
 
 let submit ~label t =
-  if t.enabled then begin
-    Mutex.lock tracing_mutex;
-    let c = !trace_collector in
-    Mutex.unlock tracing_mutex;
-    match c with None -> () | Some f -> f (dump ~label t)
-  end
-
-(* Run [f] with tracing armed and a dump-accumulating collector installed;
-   returns [f ()]'s value and every submitted run, in submission order. *)
-let capture_runs ?(capacity = default_capacity) f =
-  let acc = ref [] in
-  let acc_mutex = Mutex.create () in
-  Mutex.lock tracing_mutex;
-  tracing_capacity := Some capacity;
-  trace_collector :=
-    Some
-      (fun d ->
-        Mutex.lock acc_mutex;
-        acc := d :: !acc;
-        Mutex.unlock acc_mutex);
-  Mutex.unlock tracing_mutex;
-  let finish () =
-    Mutex.lock tracing_mutex;
-    tracing_capacity := None;
-    trace_collector := None;
-    Mutex.unlock tracing_mutex
-  in
-  match f () with
-  | v ->
-    finish ();
-    (v, List.rev !acc)
-  | exception e ->
-    finish ();
-    raise e
+  if t.enabled && Capture.active capture then
+    Capture.submit capture (label, jsonl_of_dump (dump ~label t))
 
 (* ---- Directory export --------------------------------------------------- *)
 
+let save_traces ~dir traces =
+  Artifacts.save_dir ~dir ~prefix:"trace" ~ext:"jsonl" traces
+
 let save_dir ~dir dumps =
-  Artifacts.save_dir ~dir ~prefix:"trace" ~ext:"jsonl"
-    (List.map (fun d -> (d.label, jsonl_of_dump d)) dumps)
+  save_traces ~dir (List.map (fun d -> (d.label, jsonl_of_dump d)) dumps)

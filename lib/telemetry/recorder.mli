@@ -13,11 +13,12 @@
     Timestamps are [base + local]: {!set_base} holds the primary context's
     cycle count at NT-Path spawn (0 on the primary context itself) and
     {!set_local} the emitting context's own cycle count, set just before an
-    emit. *)
+    emit.
+
+    A sweep collects traces through {!capture}, the channel's {!Capture}
+    slot, which also arms machine creation for the duration. *)
 
 type cause = Max_length | Crash | Unsafe_event | Program_end | Cache_overflow
-
-val cause_name : cause -> string
 
 type event =
   | Spawn of { at : int; path_id : int; br_pc : int; edge : bool; entry_pc : int }
@@ -85,7 +86,7 @@ val dropped : t -> int
 (** Retained events, oldest first. *)
 val events : t -> event list
 
-(** An immutable per-run trace snapshot (what sweep capture accumulates). *)
+(** An immutable per-run trace snapshot, which the exporters render. *)
 type dump = { label : string; events : event list; total : int; dropped : int }
 
 val dump : ?label:string -> t -> dump
@@ -105,25 +106,24 @@ val chrome_of_dump : dump -> string
     {!obtain} hands out fresh enabled recorders while armed. *)
 val set_tracing : int option -> unit
 
-(** Whether tracing is armed. *)
-val tracing : unit -> bool
-
 (** A fresh enabled recorder while tracing is armed, {!disabled} otherwise.
     Safe from any domain. *)
 val obtain : unit -> t
 
-(** Hand a finished run's recorder (as a dump) to the installed trace
-    collector; no-op when the recorder is disabled or no capture is
-    active. Safe from any domain. *)
+(** The trace channel: one [(label, JSONL)] pair per traced run, which is
+    also its canonical key. Collecting it arms tracing at
+    {!default_capacity} (disarmed again when cleared). *)
+val capture : (string * string) Capture.t
+
+(** Hand a finished run's trace, rendered to JSONL, to {!capture}; no-op
+    when the recorder is disabled or no collector is installed. Safe from
+    any domain. *)
 val submit : label:string -> t -> unit
 
-(** [capture_runs f] arms tracing and installs a dump-accumulating
-    collector around [f]; returns [f ()]'s result and the dumps submitted
-    during it, in submission order. Disarms afterwards (also on raise). *)
-val capture_runs : ?capacity:int -> (unit -> 'a) -> 'a * dump list
+(** Write one file per [(label, JSONL)] trace into [dir] (created if
+    missing), named [trace-NNNN-<label>.jsonl] in list order (a collected
+    sweep is already in canonical order). Returns the paths written. *)
+val save_traces : dir:string -> (string * string) list -> string list
 
-(** Write one JSONL file per dump into [dir] (created if missing), named
-    [trace-NNNN-<label>.jsonl] and ordered by (label, content) so a
-    parallel sweep writes byte-identical files to a serial one. Returns the
-    paths written. *)
+(** {!save_traces} of the dumps' JSONL. *)
 val save_dir : dir:string -> dump list -> string list

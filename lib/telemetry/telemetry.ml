@@ -1,20 +1,17 @@
 (* Lightweight observability for simulator runs: named counters, float
-   gauges, log-bucketed integer histograms, accumulating wall-clock timers
-   and a bounded span trace, emitted as structured JSON (per run, or
-   aggregated over a sweep).
+   gauges, log-bucketed integer histograms and accumulating wall-clock
+   timers, emitted as structured JSON (per run, or aggregated over a
+   sweep). The timers are the only wall-clock data.
 
    A sink belongs to exactly one run (one [Machine.t]); it is mutated from a
    single domain, so none of the per-sink operations lock. The only shared
-   state is the optional process-global collector, which is mutex-protected
-   so parallel sweep workers can submit their sinks concurrently. *)
+   state is the process-global {!Capture} slot finished runs submit to. *)
 
 type timer = {
   mutable total_s : float;
   mutable count : int;
   mutable max_s : float;
 }
-
-type span = { sp_name : string; sp_depth : int; sp_start_s : float; sp_dur_s : float }
 
 (* Log-bucketed histogram of non-negative integer observations. Bucket 0
    holds values <= 0; bucket i >= 1 holds [2^(i-1), 2^i - 1], so 63 buckets
@@ -35,14 +32,7 @@ type t = {
   gauges : (string, float ref) Hashtbl.t;
   hists : (string, hist) Hashtbl.t;
   timers : (string, timer) Hashtbl.t;
-  mutable trace : span list;  (* newest first, bounded *)
-  mutable trace_len : int;
-  mutable trace_dropped : int;  (* spans past the bound, silently elided *)
-  mutable depth : int;
-  created_s : float;
 }
-
-let trace_limit = 64
 
 let now () = Unix.gettimeofday ()
 
@@ -53,11 +43,6 @@ let create ?(label = "") () =
     gauges = Hashtbl.create 16;
     hists = Hashtbl.create 8;
     timers = Hashtbl.create 8;
-    trace = [];
-    trace_len = 0;
-    trace_dropped = 0;
-    depth = 0;
-    created_s = now ();
   }
 
 let set_label t label = t.label <- label
@@ -176,43 +161,19 @@ let timer_record t name dur =
   tm.count <- tm.count + 1;
   if dur > tm.max_s then tm.max_s <- dur
 
-let push_span t name start dur =
-  if t.trace_len < trace_limit then begin
-    t.trace <-
-      {
-        sp_name = name;
-        sp_depth = t.depth;
-        sp_start_s = start -. t.created_s;
-        sp_dur_s = dur;
-      }
-      :: t.trace;
-    t.trace_len <- t.trace_len + 1
-  end
-  else t.trace_dropped <- t.trace_dropped + 1
-
-(* Time [f], accumulating under timer [name] and recording a trace span.
-   Nested [span] calls record their depth, giving a poor man's trace tree. *)
+(* Time [f], accumulating its wall time under timer [name]. *)
 let span t name f =
   let start = now () in
-  t.depth <- t.depth + 1;
-  let finish () =
-    t.depth <- t.depth - 1;
-    let dur = now () -. start in
-    timer_record t name dur;
-    push_span t name start dur
-  in
   match f () with
   | v ->
-    finish ();
+    timer_record t name (now () -. start);
     v
   | exception e ->
-    finish ();
+    timer_record t name (now () -. start);
     raise e
 
 let timer_total t name =
   match Hashtbl.find_opt t.timers name with Some tm -> tm.total_s | None -> 0.0
-
-let trace_dropped t = t.trace_dropped
 
 (* ---- JSON emission (via Jsonu; keys sorted so output is stable) --------- *)
 
@@ -267,31 +228,16 @@ let timers_json t =
              ] ))
        (sorted_bindings t.timers))
 
-let trace_json t =
-  let spans = List.rev t.trace in
-  Jsonu.jarr
-    (List.map
-       (fun sp ->
-         jobj
-           [
-             ("name", jstr sp.sp_name);
-             ("depth", string_of_int sp.sp_depth);
-             ("start_s", jfloat sp.sp_start_s);
-             ("dur_s", jfloat sp.sp_dur_s);
-           ])
-       spans)
+(* Everything but the wall-clock timers: the byte-comparable part. *)
+let deterministic_fields t =
+  [
+    ("label", jstr t.label);
+    ("counters", counters_json t);
+    ("gauges", gauges_json t);
+    ("hists", hists_json t);
+  ]
 
-let to_json t =
-  jobj
-    [
-      ("label", jstr t.label);
-      ("counters", counters_json t);
-      ("gauges", gauges_json t);
-      ("hists", hists_json t);
-      ("timers", timers_json t);
-      ("trace", trace_json t);
-      ("trace_dropped", string_of_int t.trace_dropped);
-    ]
+let to_json t = jobj (deterministic_fields t @ [ ("timers", timers_json t) ])
 
 (* ---- Prometheus text exposition (DESIGN.md §15) -------------------------- *)
 
@@ -328,8 +274,7 @@ let prom_label_value v =
    server can expose many runs side by side. Counters and gauges map
    directly; timers expose accumulated seconds and invocation counts;
    log-bucketed histograms become cumulative-bucket histogram series with
-   upper bounds at the bucket range tops. The span trace is not exposed —
-   it is a debugging artifact, not a metric. *)
+   upper bounds at the bucket range tops. *)
 let to_prometheus t =
   let b = Buffer.create 4096 in
   let run_label =
@@ -385,23 +330,6 @@ let to_prometheus t =
       series (name ^ "_invocations_total") "counter" (string_of_int tm.count))
     (sorted_bindings t.timers);
   Buffer.contents b
-
-(* ---- Reset --------------------------------------------------------------- *)
-
-(* Return the sink to its just-created state (label kept): the snapshot-
-   isolation contract for reusing one sink across runs. Per-machine sinks
-   are fresh by construction ([Machine.create] allocates one per machine),
-   so this exists for callers that deliberately reuse a sink — and for the
-   regression test pinning that counters never bleed across runs. *)
-let reset t =
-  Hashtbl.reset t.counters;
-  Hashtbl.reset t.gauges;
-  Hashtbl.reset t.hists;
-  Hashtbl.reset t.timers;
-  t.trace <- [];
-  t.trace_len <- 0;
-  t.trace_dropped <- 0;
-  t.depth <- 0
 
 (* ---- Aggregation over a sweep ------------------------------------------- *)
 
@@ -520,46 +448,10 @@ let aggregate_json sinks =
              (sorted_bindings ttotals)) );
     ]
 
-(* ---- Process-global collector ------------------------------------------- *)
+(* ---- Process-global capture --------------------------------------------- *)
 
-let collector_mutex = Mutex.create ()
-let collector : (t -> unit) option ref = ref None
+let capture =
+  Capture.create ~arm:ignore
+    ~key:(fun t -> (t.label, jobj (deterministic_fields t)))
 
-let set_collector c =
-  Mutex.lock collector_mutex;
-  collector := c;
-  Mutex.unlock collector_mutex
-
-let collecting () =
-  Mutex.lock collector_mutex;
-  let r = !collector <> None in
-  Mutex.unlock collector_mutex;
-  r
-
-(* Hand a finished run's sink to the installed collector (no-op without
-   one). Safe to call from any domain. *)
-let submit t =
-  Mutex.lock collector_mutex;
-  let c = !collector in
-  Mutex.unlock collector_mutex;
-  match c with None -> () | Some f -> f t
-
-(* Install a list-accumulating collector around [f]; returns [f ()]'s value
-   together with every sink submitted during it, in submission order. *)
-let collect_runs f =
-  let acc = ref [] in
-  let acc_mutex = Mutex.create () in
-  set_collector
-    (Some
-       (fun t ->
-         Mutex.lock acc_mutex;
-         acc := t :: !acc;
-         Mutex.unlock acc_mutex));
-  let finish () = set_collector None in
-  match f () with
-  | v ->
-    finish ();
-    (v, List.rev !acc)
-  | exception e ->
-    finish ();
-    raise e
+let set_collector c = Capture.install capture c

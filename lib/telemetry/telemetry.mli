@@ -1,11 +1,11 @@
 (** Lightweight observability for simulator runs.
 
-    A sink collects named integer counters, float gauges, accumulating
-    wall-clock timers and a bounded span trace, and renders them as
-    deterministic-keyed JSON. One sink belongs to one run (one [Machine.t])
-    and is mutated from a single domain; the optional process-global
-    collector is mutex-protected so parallel sweep workers can submit
-    concurrently.
+    A sink collects named integer counters, float gauges, log-bucketed
+    histograms and accumulating wall-clock timers, and renders them as
+    deterministic-keyed JSON. The timers are its only wall-clock data:
+    everything else is byte-comparable across runs. One sink belongs to
+    one run (one [Machine.t]) and is mutated from a single domain; finished
+    runs are submitted to {!capture}, the channel's {!Capture} slot.
 
     The JSON schema (documented in DESIGN.md):
     {v
@@ -14,9 +14,7 @@
       "gauges":   { "<name>": <float>, ... },
       "hists":    { "<name>": {"count":i, "sum":i, "min":i, "max":i,
                                "buckets":[[<lo>,<count>], ...]}, ... },
-      "timers":   { "<name>": {"total_s":f, "count":i, "max_s":f}, ... },
-      "trace":    [ {"name":s, "depth":i, "start_s":f, "dur_s":f}, ... ],
-      "trace_dropped": <int> }
+      "timers":   { "<name>": {"total_s":f, "count":i, "max_s":f}, ... } }
     v} *)
 
 type t
@@ -70,13 +68,9 @@ val hist_count : t -> string -> int
     ascending range order; [[]] when the histogram was never observed. *)
 val hist_buckets : t -> string -> (int * int) list
 
-(** [span t name f] runs [f], accumulating its wall time under timer [name]
-    and appending a span (with nesting depth) to the bounded trace. Spans
-    past the trace bound are counted in {!trace_dropped} instead. *)
+(** [span t name f] runs [f], accumulating its wall time under timer
+    [name] (also when [f] raises). *)
 val span : t -> string -> (unit -> 'a) -> 'a
-
-(** Spans elided because the bounded trace was full. *)
-val trace_dropped : t -> int
 
 (** Record an externally measured duration under timer [name]. *)
 val timer_record : t -> string -> float -> unit
@@ -91,31 +85,17 @@ val to_json : t -> string
     deterministic (sorted names, fixed float formatting), every series
     labelled [{run="<label>"}]. Counters and gauges map directly; timers
     become [_seconds_total]/[_invocations_total] counters; log-bucketed
-    histograms become cumulative-bucket histogram series. The span trace is
-    not exposed. *)
+    histograms become cumulative-bucket histogram series. *)
 val to_prometheus : t -> string
-
-(** Drop every metric and the span trace, returning the sink to its
-    just-created state (label kept). Counter and histogram handles resolved
-    before the reset are invalidated — adds through them would mutate
-    detached cells — so re-resolve handles after resetting. *)
-val reset : t -> unit
 
 (** Aggregate many per-run sinks: counters and gauges become
     sum/mean/min/max/runs distributions; timers sum totals and counts. *)
 val aggregate_json : t list -> string
 
-(** Install (or clear) the process-global collector that [submit] feeds. *)
+(** The telemetry channel: every [Engine.run] submits its sink here.
+    Sinks are keyed by label and their JSON without [timers], so a
+    collected sweep is ordered the same serial or under [--jobs N]. *)
+val capture : t Capture.t
+
+(** [Capture.install capture]. *)
 val set_collector : (t -> unit) option -> unit
-
-(** Whether a collector is installed. *)
-val collecting : unit -> bool
-
-(** Hand a finished run's sink to the collector; no-op without one. Safe
-    from any domain. *)
-val submit : t -> unit
-
-(** [collect_runs f] installs a list-accumulating collector around [f];
-    returns [f ()]'s result and the sinks submitted during it, in
-    submission order. Clears the collector afterwards (also on raise). *)
-val collect_runs : (unit -> 'a) -> 'a * t list

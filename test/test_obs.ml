@@ -295,17 +295,15 @@ let test_snapshot_deterministic () =
   let b = Obs.to_json (observed_snapshot "schedule") in
   Alcotest.(check string) "snapshot bytes stable" a b
 
-(* The capture protocol: [capture_runs] arms the engine switch, collects one
-   snapshot per experiment run, and disarms on the way out. *)
+(* Collecting the Observatory channel arms the engine switch and yields
+   one snapshot per experiment run; the switch is off again afterwards. *)
 let test_capture_runs () =
   let (), snaps =
-    Obs.capture_runs (fun () ->
-        Alcotest.(check bool) "armed inside" true (Obs.armed ());
+    Capture.collect Obs.capture (fun () ->
         Alcotest.(check bool) "engine switch on inside" true
           (Pe_config.obs_on ());
         ignore (Exp_common.run_app (Registry.find "schedule")))
   in
-  Alcotest.(check bool) "disarmed after" false (Obs.armed ());
   Alcotest.(check bool) "engine switch off after" false (Pe_config.obs_on ());
   Alcotest.(check int) "one snapshot per run" 1 (List.length snaps);
   Alcotest.(check string) "labelled" "schedule/standard"
@@ -336,28 +334,14 @@ let test_prometheus () =
   Alcotest.(check string) "exposition deterministic" text
     (Telemetry.to_prometheus t)
 
-(* ---- Telemetry reset and collector snapshot isolation --------------------- *)
-
-let test_telemetry_reset () =
-  let t = Telemetry.create ~label:"keep-me" () in
-  Telemetry.count t "a" 7;
-  Telemetry.gauge t "g" 1.5;
-  Telemetry.observe t "h" 9;
-  Telemetry.timer_record t "t" 0.25;
-  Telemetry.reset t;
-  Alcotest.(check string) "label survives" "keep-me" (Telemetry.label t);
-  Alcotest.(check int) "counter cleared" 0 (Telemetry.counter t "a");
-  Alcotest.(check bool) "gauge cleared" true (Telemetry.gauge_value t "g" = None);
-  Alcotest.(check int) "hist cleared" 0 (Telemetry.hist_count t "h");
-  Alcotest.(check string) "renders like a fresh sink"
-    (Telemetry.to_json (Telemetry.create ~label:"keep-me" ()))
-    (Telemetry.to_json t)
+(* ---- Collector snapshot isolation ---------------------------------------- *)
 
 (* Regression: the global collector receives each run's sink exactly once,
    and nothing in the sweep funnel mutates a sink after submission — what a
    collector saw at submit time is what it holds at the end. (The sinks are
-   shared by reference, so a post-submit [reset] *would* rewrite history;
-   this pins that no engine/experiment code path does.) *)
+   shared by reference, and the capture computes its sort key only after
+   the sweep; this pins that no engine/experiment code path writes to a
+   submitted sink.) *)
 let test_collector_snapshot_isolation () =
   let seen = ref [] in
   Telemetry.set_collector
@@ -399,7 +383,6 @@ let tests =
     Alcotest.test_case "snapshot: capture protocol" `Quick test_capture_runs;
     Alcotest.test_case "telemetry: prometheus exposition" `Quick
       test_prometheus;
-    Alcotest.test_case "telemetry: reset" `Quick test_telemetry_reset;
     Alcotest.test_case "telemetry: collector snapshot isolation" `Quick
       test_collector_snapshot_isolation;
   ]

@@ -58,21 +58,6 @@ let test_hist_aggregate () =
   Alcotest.(check bool) "aggregate parses" true
     (Result.is_ok (Jsonu.parse json))
 
-(* --- span-trace drop accounting (the old silent truncation) -------------- *)
-
-let test_trace_dropped () =
-  let t = Telemetry.create ~label:"drops" () in
-  for _ = 1 to 80 do
-    Telemetry.span t "s" (fun () -> ())
-  done;
-  Alcotest.(check int) "spans past the bound are counted, not lost" 16
-    (Telemetry.trace_dropped t);
-  check_contains "drop count exported" {|"trace_dropped":16|}
-    (Telemetry.to_json t);
-  let fresh = Telemetry.create () in
-  Alcotest.(check int) "fresh sink drops nothing" 0
-    (Telemetry.trace_dropped fresh)
-
 (* --- ring buffer semantics ----------------------------------------------- *)
 
 let test_ring_overflow () =
@@ -327,25 +312,35 @@ let test_chrome_output_valid () =
 
 (* --- global capture ------------------------------------------------------- *)
 
+(* Collecting the trace channel arms machine creation: a default machine
+   gets an enabled recorder inside the collection and the disabled
+   singleton outside it. *)
 let test_capture_runs () =
-  Alcotest.(check bool) "tracing off outside capture" false (Recorder.tracing ());
-  let (), dumps =
-    Recorder.capture_runs (fun () ->
+  let compiled = Compile.compile buggy_source in
+  let default_recorder () =
+    (Machine.create compiled.Compile.program).Machine.recorder
+  in
+  Alcotest.(check bool) "tracing off outside capture" false
+    (Recorder.enabled (default_recorder ()));
+  let (), traces =
+    Capture.collect Recorder.capture (fun () ->
         let _, machine, _, _ = traced_run () in
         (* traced_run passes its own recorder; a default machine picks the
            armed capture up instead *)
         ignore machine;
-        let compiled = Compile.compile buggy_source in
         let m = Machine.create compiled.Compile.program in
+        Alcotest.(check bool) "machine creation armed" true
+          (Recorder.enabled m.Machine.recorder);
         ignore (Engine.run m))
   in
-  Alcotest.(check bool) "tracing rearmed off" false (Recorder.tracing ());
+  Alcotest.(check bool) "tracing rearmed off" false
+    (Recorder.enabled (default_recorder ()));
   Alcotest.(check bool) "captured the default-recorder run" true
-    (List.length dumps >= 1);
+    (List.length traces >= 1);
   (* save_dir writes deterministically named, parseable files *)
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "pexp_trace_test" in
-  let files = Recorder.save_dir ~dir dumps in
-  Alcotest.(check int) "one file per dump" (List.length dumps)
+  let files = Recorder.save_traces ~dir traces in
+  Alcotest.(check int) "one file per trace" (List.length traces)
     (List.length files);
   List.iter
     (fun f ->
@@ -369,12 +364,12 @@ let scratch_dir name =
 
 let read_file f = In_channel.with_open_bin f In_channel.input_all
 
-(* The shared writer numbers files in (label, contents) order whatever the
-   submission order, reduces labels to a safe alphabet, and writes the
-   contents byte-for-byte. *)
+(* The shared writer numbers files in the order it is given (a collected
+   sweep arrives in the capture's canonical order), reduces labels to a
+   safe alphabet, and writes the contents byte-for-byte. *)
 let test_artifacts_save_dir () =
   let dir = scratch_dir "artifacts_save" in
-  let items = [ ("b/x", "2\n"); ("", "e"); ("a y", "1"); ("b/x", "1\n") ] in
+  let items = [ ("", "e"); ("a y", "1"); ("b/x", "1\n"); ("b/x", "2\n") ] in
   let files = Artifacts.save_dir ~dir ~prefix:"trace" ~ext:"jsonl" items in
   Alcotest.(check (list string))
     "canonical names"
@@ -382,12 +377,10 @@ let test_artifacts_save_dir () =
       "trace-0003-b_x.jsonl" ]
     (List.map Filename.basename files);
   Alcotest.(check (list string))
-    "contents in (label, contents) order" [ "e"; "1"; "1\n"; "2\n" ]
+    "contents in list order" [ "e"; "1"; "1\n"; "2\n" ]
     (List.map read_file files);
-  let again =
-    Artifacts.save_dir ~dir ~prefix:"trace" ~ext:"jsonl" (List.rev items)
-  in
-  Alcotest.(check (list string)) "order-independent" files again;
+  let again = Artifacts.save_dir ~dir ~prefix:"trace" ~ext:"jsonl" items in
+  Alcotest.(check (list string)) "rewrites the same names" files again;
   List.iter Sys.remove files;
   Sys.rmdir dir
 
@@ -414,7 +407,6 @@ let tests =
     Alcotest.test_case "histogram bucket edges" `Quick test_hist_bucket_edges;
     Alcotest.test_case "histogram JSON shape" `Quick test_hist_json;
     Alcotest.test_case "histogram aggregation" `Quick test_hist_aggregate;
-    Alcotest.test_case "span-trace drops are counted" `Quick test_trace_dropped;
     Alcotest.test_case "ring overflow semantics" `Quick test_ring_overflow;
     Alcotest.test_case "disabled recorder is inert" `Quick test_disabled_is_noop;
     Alcotest.test_case "base+local sim clock" `Quick test_clock_base_local;
@@ -429,7 +421,7 @@ let tests =
     Alcotest.test_case "JSONL lines all parse" `Quick
       test_jsonl_every_line_parses;
     Alcotest.test_case "Chrome trace is valid" `Quick test_chrome_output_valid;
-    Alcotest.test_case "capture_runs + save_dir" `Quick test_capture_runs;
+    Alcotest.test_case "trace capture + save_dir" `Quick test_capture_runs;
     Alcotest.test_case "artifacts: canonical directory writer" `Quick
       test_artifacts_save_dir;
     Alcotest.test_case "artifacts: bad destinations are errors" `Quick

@@ -198,7 +198,7 @@ let observables machine (result : Engine.result) =
     Machine.output machine )
 
 let run_traced ~selective ~config ~input compiled =
-  Recorder.capture_runs (fun () ->
+  Capture.collect Recorder.capture (fun () ->
       let machine = Machine.create ~input compiled.Compile.program in
       let result =
         Engine.run ~config:{ config with Pe_config.selective } machine
@@ -209,10 +209,10 @@ let run_traced ~selective ~config ~input compiled =
    selectively, then demand identical observables — including the flight
    recorder's event stream. *)
 let check_compiled name ~config ~input compiled =
-  let (m_off, r_off), dumps_off =
+  let (m_off, r_off), traces_off =
     run_traced ~selective:false ~config ~input compiled
   in
-  let (m_on, r_on), dumps_on =
+  let (m_on, r_on), traces_on =
     run_traced ~selective:true ~config ~input compiled
   in
   Alcotest.(check bool)
@@ -221,8 +221,7 @@ let check_compiled name ~config ~input compiled =
     (observables m_off r_off = observables m_on r_on);
   Alcotest.(check (list string))
     (name ^ ": recorder streams identical")
-    (List.map Recorder.jsonl_of_dump dumps_off)
-    (List.map Recorder.jsonl_of_dump dumps_on);
+    (List.map snd traces_off) (List.map snd traces_on);
   (r_off, r_on)
 
 let check_differential name ?detector ?bug ~config workload =
