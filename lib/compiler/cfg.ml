@@ -167,11 +167,6 @@ let of_program (program : Program.t) =
   in
   { blocks; succs; func_of_block; decision_pcs }
 
-let block_count cfg = Array.length cfg.blocks
-
-let edge_count cfg =
-  Array.fold_left (fun acc s -> acc + List.length s) 0 cfg.succs
-
 (* Test constructor: a bare graph with the given successor lists. Blocks
    get dummy one-instruction extents and no decision pcs, so prime-path
    counts can be hand-checked against textbook examples. *)

@@ -34,9 +34,6 @@ val edge_decision : edge_kind -> (int * bool) option
     taken path of a monitored run retires. *)
 val of_program : Program.t -> t
 
-val block_count : t -> int
-val edge_count : t -> int
-
 (** Test constructor: a bare graph from adjacency lists (all edges
     [E_fall], one dummy instruction per block), for hand-checked
     prime-path counts. *)

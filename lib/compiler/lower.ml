@@ -22,20 +22,12 @@ let run (ap : Asmprog.t) (tp : Tast.tprogram) : Program.t =
       ap.Asmprog.code
   in
   let program =
-    {
-      Program.code;
-      entry = 0;
-      globals_words = tp.Tast.tp_globals_words;
-      init_data = tp.Tast.tp_init_data;
-      sites = ap.Asmprog.sites;
-      user_branches = ap.Asmprog.user_branches;
-      functions = ap.Asmprog.functions;
-      user_code_ranges = ap.Asmprog.user_ranges;
-      fix_atoms = ap.Asmprog.fix_atoms;
-      global_vars = tp.Tast.tp_global_vars;
-      blank_addrs = tp.Tast.tp_blank_addrs;
-      source_lines = Array.of_list ap.Asmprog.source_lines;
-    }
+    Program.make ~code ~entry:0 ~globals_words:tp.Tast.tp_globals_words
+      ~init_data:tp.Tast.tp_init_data ~sites:ap.Asmprog.sites
+      ~user_branches:ap.Asmprog.user_branches ~functions:ap.Asmprog.functions
+      ~user_code_ranges:ap.Asmprog.user_ranges ~fix_atoms:ap.Asmprog.fix_atoms
+      ~global_vars:tp.Tast.tp_global_vars ~blank_addrs:tp.Tast.tp_blank_addrs
+      ~source_lines:(Array.of_list ap.Asmprog.source_lines)
   in
   Program.validate program;
   program

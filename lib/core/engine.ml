@@ -394,7 +394,7 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) machine =
      the cause is readable from the decoded image at the current pc. *)
   let classify_deopt () =
     let pc = ctx.Context.pc in
-    let dcode = machine.Machine.dcode in
+    let dcode = machine.Machine.program.Program.dcode in
     if pc < 0 || pc >= Array.length dcode then incr d_fault
     else
       let rec go = function

@@ -352,7 +352,7 @@ and overflow t pc n cyc ld st br =
   Overflow
 
 let make machine ctx coverage ~sandbox ~spawning ~threshold =
-  let dcode = machine.Machine.dcode in
+  let dcode = machine.Machine.program.Program.dcode in
   let line_of = Coverage.line_of coverage in
   if Array.length line_of <> Array.length dcode then
     invalid_arg "Fast_loop.make: coverage is not for this machine's program";

@@ -17,8 +17,6 @@ type t = {
   expected_miss : miss_category option;
 }
 
-let kind_name = function Memory -> "memory" | Semantic -> "semantic"
-
 let miss_category_name = function
   | Value_coverage -> "value-coverage"
   | Hot_entry_edge -> "hot-entry-edge"

@@ -28,7 +28,6 @@ type t = {
       (** [None]: PathExpander is expected to detect it *)
 }
 
-val kind_name : kind -> string
 val miss_category_name : miss_category -> string
 
 val make :

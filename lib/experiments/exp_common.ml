@@ -52,11 +52,6 @@ let run_app ?(detector = Codegen.No_detector) ?(fixing = true) ?bug
   Machine.release machine;
   { compiled; machine; result }
 
-(* Detectors that can see a bug of this kind, in presentation order. *)
-let detectors_for_kind = function
-  | Bug.Memory -> [ Codegen.Ccured; Codegen.Iwatcher ]
-  | Bug.Semantic -> [ Codegen.Assertions ]
-
 let detector_label = function
   | Codegen.Ccured -> "Software Tool (CCured)"
   | Codegen.Iwatcher -> "Hardware Tool (iWatcher)"

@@ -33,8 +33,6 @@ val run_app :
   Workload.t ->
   run
 
-(** Detectors that can see bugs of this kind, in presentation order. *)
-val detectors_for_kind : Bug.kind -> Codegen.detector list
 
 (** Table 4/5 row labels, e.g. ["Software Tool (CCured)"]. *)
 val detector_label : Codegen.detector -> string

@@ -1,8 +1,9 @@
 (** Program-load-time decode of [Insn.t] into a flat execution form for the
     interpreter's hot loop: resolved register indices, faulting binops
     (Div/Mod) split out of the allocation-free ALU fast path, pre-resolved
-    branch targets. Decoded once per program load, shared by every engine
-    (baseline, taken path, NT-Paths, software PathExpander). *)
+    branch targets. Decoded once per image by [Program.make], shared by every
+    machine and engine (baseline, taken path, NT-Paths, software
+    PathExpander). *)
 
 type t =
   | D_alu of Insn.binop * int * int * int

@@ -140,8 +140,6 @@ let rec to_string insn =
   | Halt -> "halt"
   | Nop -> "nop"
 
-let pp fmt insn = Format.pp_print_string fmt (to_string insn)
-
 let is_branch = function Br _ -> true | _ -> false
 
 let rec is_memory_access = function

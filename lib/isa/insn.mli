@@ -77,7 +77,6 @@ val eval_cmp : cmp -> int -> int -> bool
 val negate_cmp : cmp -> cmp
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 (** True for conditional branches only ([Br]). *)
 val is_branch : t -> bool

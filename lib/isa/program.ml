@@ -11,7 +11,17 @@ type t = {
   global_vars : (string * int) list;
   blank_addrs : (string * int) list;
   source_lines : (int * int) array;
+  dcode : Decode.t array;
 }
+
+(* The one constructor: the image is decoded here, once, so every machine
+   loaded from it shares the same execution form. *)
+let make ~code ~entry ~globals_words ~init_data ~sites ~user_branches
+    ~functions ~user_code_ranges ~fix_atoms ~global_vars ~blank_addrs
+    ~source_lines =
+  { code; entry; globals_words; init_data; sites; user_branches; functions;
+    user_code_ranges; fix_atoms; global_vars; blank_addrs; source_lines;
+    dcode = Decode.decode code }
 
 (* Address of a named global variable. *)
 let global_address program name = List.assoc_opt name program.global_vars
@@ -31,8 +41,6 @@ let all_branches program =
     (fun pc insn -> if Insn.is_branch insn then acc := pc :: !acc)
     program.code;
   List.rev !acc
-
-let branch_edge_count program = 2 * List.length program.user_branches
 
 let rec check_insn program pc insn =
   let n = Array.length program.code in

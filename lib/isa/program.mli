@@ -8,7 +8,7 @@
     function table, and the addresses of the per-type blank structures used
     by NT-Path pointer fixing. *)
 
-type t = {
+type t = private {
   code : Insn.t array;
   entry : int;  (** pc of [main] *)
   globals_words : int;  (** size of the globals segment, in words *)
@@ -25,7 +25,19 @@ type t = {
   global_vars : (string * int) list;  (** global variable name -> address *)
   blank_addrs : (string * int) list;  (** type name -> blank structure address *)
   source_lines : (int * int) array;  (** (pc, source line), sorted by pc *)
+  dcode : Decode.t array;
+      (** execution-form image of [code] ({!Decode}), built once by {!make}
+          and shared by every machine loaded from this image *)
 }
+
+(** The only way to build an image: packages the fields and decodes
+    [code]. *)
+val make :
+  code:Insn.t array -> entry:int -> globals_words:int ->
+  init_data:(int * int) list -> sites:Site.t array -> user_branches:int list ->
+  functions:(string * int) list -> user_code_ranges:(int * int) list ->
+  fix_atoms:(int * Fix_atom.t) list -> global_vars:(string * int) list ->
+  blank_addrs:(string * int) list -> source_lines:(int * int) array -> t
 
 (** Size of the unmapped null page: accesses below this address fault.
     Globals start at this address. *)
@@ -35,9 +47,6 @@ exception Invalid_program of string
 
 (** Pcs of every conditional branch in the image (user and runtime). *)
 val all_branches : t -> int list
-
-(** Size of the branch-coverage universe: two edges per user branch. *)
-val branch_edge_count : t -> int
 
 (** Address of a named global variable, if any. *)
 val global_address : t -> string -> int option

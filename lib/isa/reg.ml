@@ -35,5 +35,3 @@ let name r =
   else if r = fp then "fp"
   else if r = ra then "ra"
   else Printf.sprintf "r%d" r
-
-let pp fmt r = Format.pp_print_string fmt (name r)

@@ -36,5 +36,3 @@ val is_valid : t -> bool
 
 (** Conventional assembly name, e.g. ["a0"], ["sp"]. *)
 val name : t -> string
-
-val pp : Format.formatter -> t -> unit

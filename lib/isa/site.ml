@@ -20,5 +20,3 @@ let kind_name = function
 let to_string site =
   Printf.sprintf "site %d (%s, line %d): %s" site.id (kind_name site.kind)
     site.line site.descr
-
-let pp fmt site = Format.pp_print_string fmt (to_string site)

@@ -22,4 +22,3 @@ type t = {
 
 val kind_name : kind -> string
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

@@ -162,6 +162,23 @@ let reset_counters btb =
         set)
     btb.sets
 
+(* Back to exactly what [create] returns, for a BTB recycled through the
+   machine-part pool. *)
+let clear btb =
+  Array.iter
+    (Array.iter (fun e ->
+         e.tag <- 0;
+         e.valid <- false;
+         e.lru <- 0))
+    btb.sets;
+  reset_counters btb;
+  btb.clock <- 0;
+  btb.lookups <- 0;
+  btb.misses <- 0
+
+let has_geometry btb ~entries ~assoc =
+  Array.length btb.sets = entries / assoc && Array.length btb.sets.(0) = assoc
+
 let lookups btb = btb.lookups
 let miss_count btb = btb.misses
 

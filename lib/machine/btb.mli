@@ -14,6 +14,14 @@ val counter_bits : int
 
 val create : entries:int -> assoc:int -> t
 
+(** Reset to exactly the state {!create} returns: every entry invalid with
+    zeroed tag, counters and LRU stamp; zeroed clock and statistics. *)
+val clear : t -> unit
+
+(** Whether {!create} with these arguments would build a BTB of this
+    shape. *)
+val has_geometry : t -> entries:int -> assoc:int -> bool
+
 (** [counts btb pc] is [(taken_edge_count, nontaken_edge_count)] for the
     branch at [pc]; [(0, 0)] on a BTB miss. Counts as a lookup. *)
 val counts : t -> int -> int * int

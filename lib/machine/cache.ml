@@ -517,11 +517,24 @@ let reset_stats cache =
   cache.memo_hits <- 0;
   cache.filter_hits <- 0
 
+(* Back to exactly what [create] returns: a cache recycled through the
+   machine-part pool must be indistinguishable from a fresh one, so even
+   state no probe can observe (stale journal entries, filter hints) goes. *)
 let clear cache =
-  Bytes.fill cache.valid 0 (line_count cache) '\000';
-  Array.fill cache.owners 0 (line_count cache) committed_owner;
+  let n = line_count cache in
+  Array.fill cache.tags 0 n 0;
+  Bytes.fill cache.valid 0 n '\000';
+  Array.fill cache.owners 0 n committed_owner;
+  Array.fill cache.lrus 0 n 0;
   Array.iter Vec.clear cache.owner_journal;
   Array.fill cache.owner_count 0 tracked_owners 0;
-  memo_kill cache;
+  cache.clock <- 0;
+  reset_stats cache;
+  set_fastpath cache (Atomic.get fastpath_default);
   Array.fill cache.mru_way 0 cache.nsets 0;
-  reset_stats cache
+  cache.recorder <- Recorder.disabled
+
+let has_geometry cache ~size_kb ~assoc ~line_bytes =
+  line_count cache = size_kb * 1024 / line_bytes
+  && cache.assoc = assoc
+  && cache.words_per_line = line_bytes / Machine_config.word_bytes

@@ -118,7 +118,13 @@ val line_count : t -> int
     [prefix]-qualified names (e.g. ["l2.hit_rate"]). *)
 val record_telemetry : t -> Telemetry.t -> prefix:string -> unit
 
-val reset_stats : t -> unit
-
-(** Invalidate everything and reset statistics. *)
+(** Reset to exactly the state {!create} returns: no valid lines, zeroed
+    tags, owners, LRU stamps, clock, statistics, journals, memo and filter,
+    the current fast-path default and the {!Recorder.disabled} recorder.
+    A cache recycled through the machine-part pool is indistinguishable
+    from a fresh one. *)
 val clear : t -> unit
+
+(** Whether {!create} with these arguments would build a cache of this
+    shape (so {!clear} makes it a fresh one). *)
+val has_geometry : t -> size_kb:int -> assoc:int -> line_bytes:int -> bool

@@ -316,7 +316,7 @@ let rec exec machine ctx pc d =
     Ev_normal
 
 let step machine ctx =
-  let dcode = machine.Machine.dcode in
+  let dcode = machine.Machine.program.Program.dcode in
   let pc = ctx.Context.pc in
   if pc < 0 || pc >= Array.length dcode then Ev_fault (Bad_pc pc)
   else begin

@@ -1,7 +1,6 @@
 type t = {
   config : Machine_config.t;
   program : Program.t;
-  dcode : Decode.t array;
   mem : Memory.t;
   l2 : Cache.t;
   btb : Btb.t;
@@ -12,22 +11,23 @@ type t = {
   mutable store_hook : (Context.t -> int -> int -> unit) option;
   telemetry : Telemetry.t;
   recorder : Recorder.t;
+  mutable l1s : Cache.t list;
 }
 
-(* One-slot decode memo: experiments compile a program once and then create
-   a machine per input, so consecutive creates usually share the same code
-   array (compared physically). A stale or torn slot only costs a re-decode;
-   decode is pure, so any cached value for the same code array is correct. *)
-let decode_memo : (Insn.t array * Decode.t array) option Atomic.t =
-  Atomic.make None
+(* Caches and BTBs recycle through the machine-part pool ({!Parts}), as
+   address spaces do through [Memory]. A part fits a request when its
+   geometry matches; [clear] makes a taken part exactly a fresh one. *)
+let caches : Cache.t Parts.shelf = Parts.shelf ()
+let btbs : Btb.t Parts.shelf = Parts.shelf ()
 
-let decode_code code =
-  match Atomic.get decode_memo with
-  | Some (c, d) when c == code -> d
-  | _ ->
-    let d = Decode.decode code in
-    Atomic.set decode_memo (Some (code, d));
-    d
+let take_cache ~size_kb ~assoc ~line_bytes recorder =
+  let cache =
+    Parts.take caches ~reset:Cache.clear
+      ~fits:(Cache.has_geometry ~size_kb ~assoc ~line_bytes)
+      ~fresh:(fun () -> Cache.create ~size_kb ~assoc ~line_bytes)
+  in
+  Cache.set_recorder cache recorder;
+  cache
 
 let create ?(config = Machine_config.default) ?(input = "") ?recorder program =
   Program.validate program;
@@ -48,21 +48,19 @@ let create ?(config = Machine_config.default) ?(input = "") ?recorder program =
   let recorder =
     match recorder with Some r -> r | None -> Recorder.obtain ()
   in
-  let l2 =
-    Cache.create ~size_kb:config.Machine_config.l2_size_kb
-      ~assoc:config.Machine_config.l2_assoc
-      ~line_bytes:config.Machine_config.line_bytes
-  in
-  Cache.set_recorder l2 recorder;
   {
     config;
     program;
-    dcode = decode_code program.Program.code;
     mem;
-    l2;
+    l2 =
+      take_cache ~size_kb:config.Machine_config.l2_size_kb
+        ~assoc:config.Machine_config.l2_assoc
+        ~line_bytes:config.Machine_config.line_bytes recorder;
     btb =
-      Btb.create ~entries:config.Machine_config.btb_entries
-        ~assoc:config.Machine_config.btb_assoc;
+      (let entries = config.Machine_config.btb_entries
+       and assoc = config.Machine_config.btb_assoc in
+       Parts.take btbs ~reset:Btb.clear ~fits:(Btb.has_geometry ~entries ~assoc)
+         ~fresh:(fun () -> Btb.create ~entries ~assoc));
     watch = Watchpoints.create ();
     reports = Report.create ();
     io = Io.create ~input ();
@@ -70,15 +68,16 @@ let create ?(config = Machine_config.default) ?(input = "") ?recorder program =
     store_hook = None;
     telemetry = Telemetry.create ();
     recorder;
+    l1s = [];
   }
 
 let new_l1 machine =
   let l1 =
-    Cache.create ~size_kb:machine.config.Machine_config.l1_size_kb
+    take_cache ~size_kb:machine.config.Machine_config.l1_size_kb
       ~assoc:machine.config.Machine_config.l1_assoc
-      ~line_bytes:machine.config.Machine_config.line_bytes
+      ~line_bytes:machine.config.Machine_config.line_bytes machine.recorder
   in
-  Cache.set_recorder l1 machine.recorder;
+  machine.l1s <- l1 :: machine.l1s;
   l1
 
 let main_context machine =
@@ -101,11 +100,16 @@ let access_latency machine l1 ~owner ~write ~speculative addr =
      | Cache.Hit -> machine.config.Machine_config.l2_latency
      | Cache.Miss -> machine.config.Machine_config.mem_latency)
 
-(* Recycle the machine's simulated address space (see Memory.release). Call
-   once the run is over and only results — reports, output, telemetry — will
-   be read; the memory contents are dead at that point. *)
-let release machine = Memory.release machine.mem
-
-let site_count machine = Array.length machine.program.Program.sites
+(* Park the address space, the L2, the BTB and every L1 handed out. The
+   address space's [released] flag makes a second release a no-op, so no
+   part is ever parked twice (two later machines would share it). *)
+let release machine =
+  if not machine.mem.Memory.released then begin
+    Memory.release machine.mem;
+    Parts.park caches machine.l2;
+    Parts.park btbs machine.btb;
+    List.iter (Parts.park caches) machine.l1s;
+    machine.l1s <- []
+  end
 
 let output machine = Io.output machine.io

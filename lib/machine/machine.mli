@@ -6,10 +6,6 @@
 type t = {
   config : Machine_config.t;
   program : Program.t;
-  dcode : Decode.t array;
-      (** execution-form image of [program.code], decoded once at load:
-          register indices resolved, immediates split out, so the
-          interpreter's hot loop never re-inspects raw [Insn.t] *)
   mem : Memory.t;
   l2 : Cache.t;
   btb : Btb.t;
@@ -31,18 +27,24 @@ type t = {
           the {!Recorder.disabled} singleton unless tracing is armed (or an
           explicit recorder was passed to {!create}), making every emit site
           a single branch *)
+  mutable l1s : Cache.t list;
+      (** the L1s {!new_l1} handed out, parked again by {!release} *)
 }
 
 (** Validates the program, lays out memory, installs initial data and points
     the runtime allocator's break word (global address 1) at the heap base.
     [recorder] overrides the process-global tracing default
     ({!Recorder.obtain}); it is attached to the L2 and every L1 this machine
-    creates. *)
+    creates. The address space, L2 and BTB come from the machine-part pool
+    when it holds parts that fit, reset to exactly the fresh state; the
+    decoded image is the program's own ([Program.dcode]). *)
 val create :
   ?config:Machine_config.t -> ?input:string -> ?recorder:Recorder.t ->
   Program.t -> t
 
-(** A fresh L1 cache with this machine's geometry (one per core). *)
+(** An L1 cache with this machine's geometry (one per core), taken from
+    the machine-part pool or newly built; either way it is in exactly the
+    state [Cache.create] returns. {!release} parks it again. *)
 val new_l1 : t -> Cache.t
 
 (** Context positioned at the program entry with a full stack and its own
@@ -56,13 +58,13 @@ val main_context : t -> Context.t
 val access_latency :
   t -> Cache.t -> owner:int -> write:bool -> speculative:bool -> int -> int
 
-(** Recycle this machine's simulated address space into the {!Memory} pool.
-    Call once the run is finished and only its *results* — reports, program
-    output, telemetry, statistics — will be consulted; the memory image
-    must not be read afterwards. *)
+(** Park this machine's address space, L2, BTB and every L1 {!new_l1}
+    handed out in the machine-part pool ({!Parts}), where later machines
+    take them. Call once the run is finished: none of those parts, nor any
+    context holding one of the L1s, may be read afterwards. The reports,
+    program I/O, telemetry and recorder are not pooled and stay readable.
+    A second release is a no-op. *)
 val release : t -> unit
-
-val site_count : t -> int
 
 (** Program output so far. *)
 val output : t -> string

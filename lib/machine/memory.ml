@@ -16,36 +16,15 @@ exception Fault of fault
 
 let null_guard = Program.null_guard_words
 
-(* Address-space pool. A default machine's memory is a ~1.3M-word array;
-   allocating and zeroing one per simulated run dominates run setup for the
-   short microbenchmark programs. Released arrays are re-zeroed only over
-   the two write watermarks — [0, heap_hi] below [stack_limit] and
-   [stack_lo, stack_base) above — which for these workloads is a few
-   thousand words, then parked here keyed by total size. Arrays in the pool
-   are always all-zero, so a pooled take is indistinguishable from a fresh
-   [Array.make]. The mutex keeps the pool safe under parallel sweep
-   domains. *)
-let pool : (int, int array list ref) Hashtbl.t = Hashtbl.create 8
-let pool_mutex = Mutex.create ()
-
-let pool_take size =
-  Mutex.lock pool_mutex;
-  let taken =
-    match Hashtbl.find_opt pool size with
-    | Some ({ contents = arr :: rest } as cell) ->
-      cell := rest;
-      Some arr
-    | _ -> None
-  in
-  Mutex.unlock pool_mutex;
-  taken
-
-let pool_put size arr =
-  Mutex.lock pool_mutex;
-  (match Hashtbl.find_opt pool size with
-  | Some cell -> cell := arr :: !cell
-  | None -> Hashtbl.add pool size (ref [ arr ]));
-  Mutex.unlock pool_mutex
+(* Address spaces recycle through the machine-part pool ({!Parts}). A
+   default machine's memory is a ~1.3M-word array; allocating and zeroing
+   one per simulated run dominates run setup for short programs. A release
+   re-zeroes only the two write watermarks — [0, heap_hi] below
+   [stack_limit] and [stack_lo, stack_base) above — so parked arrays are
+   always all-zero. Every bound is checked against [stack_base], never the
+   array's length, so any parked array at least that long serves: images
+   with different globals segments share one array. *)
+let shelf : int array Parts.shelf = Parts.shelf ()
 
 let create ~globals_words ~heap_words ~stack_words =
   let globals_end = null_guard + globals_words in
@@ -54,9 +33,9 @@ let create ~globals_words ~heap_words ~stack_words =
   let stack_limit = heap_end in
   let stack_base = stack_limit + stack_words in
   let words =
-    match pool_take stack_base with
-    | Some arr -> arr
-    | None -> Array.make stack_base 0
+    Parts.take shelf ~reset:ignore
+      ~fits:(fun arr -> Array.length arr >= stack_base)
+      ~fresh:(fun () -> Array.make stack_base 0)
   in
   {
     words;
@@ -78,14 +57,14 @@ let release mem =
       Array.fill mem.words mem.stack_lo (mem.stack_base - mem.stack_lo) 0;
     mem.heap_hi <- -1;
     mem.stack_lo <- mem.stack_base;
-    pool_put mem.stack_base mem.words
+    Parts.park shelf mem.words
   end
 
-let size mem = Array.length mem.words
+let size mem = mem.stack_base
 
 let check mem addr =
   if addr >= 0 && addr < null_guard then raise (Fault Null_access)
-  else if addr < 0 || addr >= Array.length mem.words then
+  else if addr < 0 || addr >= mem.stack_base then
     raise (Fault (Out_of_range addr))
 
 let read mem addr =
@@ -103,7 +82,7 @@ let write mem addr value =
   check mem addr;
   write_valid mem addr value
 
-let is_valid mem addr = addr >= null_guard && addr < Array.length mem.words
+let is_valid mem addr = addr >= null_guard && addr < mem.stack_base
 
 let fault_to_string = function
   | Null_access -> "null access"

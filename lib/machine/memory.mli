@@ -30,18 +30,23 @@ exception Fault of fault
 (** First mapped address (size of the null page). *)
 val null_guard : int
 
+(** Lay out the segments over an all-zero array of at least [stack_base]
+    words: a parked one from the pool when one is long enough, else a new
+    one. The array may be longer than the layout; every bound is
+    [stack_base]. *)
 val create : globals_words:int -> heap_words:int -> stack_words:int -> t
 
-(** Return this memory's backing array to a size-keyed pool for reuse by a
-    later {!create} of the same geometry. Only the written watermark ranges
-    are re-zeroed, so releasing is O(words actually touched), not O(address
-    space). The memory must not be read or written afterwards — its words
-    now belong to whichever machine takes them next. Double release is a
-    no-op. Pooled arrays are always all-zero, so simulation results are
-    identical with or without pooling. *)
+(** Return this memory's backing array to the machine-part pool ({!Parts})
+    for reuse by a later {!create} that needs at most its length. Only the
+    written watermark ranges are re-zeroed, so releasing is O(words actually
+    touched), not O(address space). The memory must not be read or written
+    afterwards — its words now belong to whichever machine takes them next.
+    Double release is a no-op. Pooled arrays are always all-zero, so
+    simulation results are identical with or without pooling. *)
 val release : t -> unit
 
-(** Total address-space size in words. *)
+(** Total address-space size in words ([stack_base]; the backing array may
+    be longer). *)
 val size : t -> int
 
 (** Raises {!Fault} if [addr] is not accessible; no other effect. *)

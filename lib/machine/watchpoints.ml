@@ -60,4 +60,3 @@ let count unit = List.length unit.ranges
 let[@inline always] is_empty unit =
   match unit.ranges with [] -> true | _ :: _ -> false
 let triggers unit = unit.triggers
-let clear unit = unit.ranges <- []

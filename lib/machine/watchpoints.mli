@@ -38,4 +38,3 @@ val count : t -> int
     checks. *)
 val is_empty : t -> bool
 val triggers : t -> int
-val clear : t -> unit

@@ -1,4 +1,4 @@
-(* The deterministic flight recorder: a fixed-capacity ring buffer of typed
+(* The deterministic flight recorder: a bounded ring buffer of typed
    NT-Path lifecycle events, timestamped in *simulated cycles* — never wall
    clock — so two runs of the same sweep produce byte-identical traces,
    serial or parallel.
@@ -7,9 +7,10 @@
    single domain. The hot-path contract: with tracing disabled every emit
    site costs exactly one load-and-branch on [enabled] (the [disabled]
    singleton is shared and never written); with tracing enabled an emit is
-   six array stores into preallocated flat arrays — no allocation either
-   way. When the ring fills, the oldest events are overwritten and counted
-   as dropped.
+   one compare and six array stores into flat arrays. The ring starts at
+   [initial_slots] and doubles, up to [capacity], when it is full — a short
+   run never pays for the full ring. Only a ring at full capacity wraps:
+   then the oldest events are overwritten and counted as dropped.
 
    The sim-time clock is split into [base + local]: [base] is the primary
    context's cycle count at the moment an NT-Path was spawned (0 while the
@@ -73,32 +74,38 @@ let k_counter_reset = 5
 type t = {
   enabled : bool;
   capacity : int;
-  kinds : Bytes.t;
-  ts : int array;
-  f0 : int array;
-  f1 : int array;
-  f2 : int array;
-  f3 : int array;
-  f4 : int array;
-  mutable total : int;  (* events ever emitted; write slot = total mod capacity *)
+  mutable slots : int;  (* current ring size, at most [capacity] *)
+  mutable kinds : Bytes.t;
+  mutable ts : int array;
+  mutable f0 : int array;
+  mutable f1 : int array;
+  mutable f2 : int array;
+  mutable f3 : int array;
+  mutable f4 : int array;
+  mutable total : int;  (* events ever emitted; write slot = total mod slots *)
   mutable base : int;
   mutable local : int;
 }
 
 let default_capacity = 1 lsl 16
 
+(* A short bug-hunting run emits a few hundred events. *)
+let initial_slots = 256
+
 let create ?(capacity = default_capacity) () =
   let capacity = max 1 capacity in
+  let slots = min capacity initial_slots in
   {
     enabled = true;
     capacity;
-    kinds = Bytes.make capacity '\000';
-    ts = Array.make capacity 0;
-    f0 = Array.make capacity 0;
-    f1 = Array.make capacity 0;
-    f2 = Array.make capacity 0;
-    f3 = Array.make capacity 0;
-    f4 = Array.make capacity 0;
+    slots;
+    kinds = Bytes.make slots '\000';
+    ts = Array.make slots 0;
+    f0 = Array.make slots 0;
+    f1 = Array.make slots 0;
+    f2 = Array.make slots 0;
+    f3 = Array.make slots 0;
+    f4 = Array.make slots 0;
     total = 0;
     base = 0;
     local = 0;
@@ -106,29 +113,30 @@ let create ?(capacity = default_capacity) () =
 
 (* The shared no-op recorder: [enabled = false] and never mutated, so it is
    safe to hand the same instance to every machine in every domain. *)
-let disabled =
-  {
-    enabled = false;
-    capacity = 1;
-    kinds = Bytes.make 1 '\000';
-    ts = [| 0 |];
-    f0 = [| 0 |];
-    f1 = [| 0 |];
-    f2 = [| 0 |];
-    f3 = [| 0 |];
-    f4 = [| 0 |];
-    total = 0;
-    base = 0;
-    local = 0;
-  }
+let disabled = { (create ~capacity:1 ()) with enabled = false }
 
 let enabled t = t.enabled
 
 let set_base t c = if t.enabled then t.base <- c
 let set_local t c = if t.enabled then t.local <- c
 
+(* Double a full ring (up to [capacity]); events keep their slots, since
+   the ring has not wrapped yet. *)
+let grow t =
+  let slots = min t.capacity (2 * t.slots) in
+  let widen a = Array.append a (Array.make (slots - t.slots) 0) in
+  t.kinds <- Bytes.extend t.kinds 0 (slots - t.slots);
+  t.ts <- widen t.ts;
+  t.f0 <- widen t.f0;
+  t.f1 <- widen t.f1;
+  t.f2 <- widen t.f2;
+  t.f3 <- widen t.f3;
+  t.f4 <- widen t.f4;
+  t.slots <- slots
+
 let push t kind a b c d e =
-  let slot = t.total mod t.capacity in
+  if t.total = t.slots && t.slots < t.capacity then grow t;
+  let slot = t.total mod t.slots in
   Bytes.unsafe_set t.kinds slot (Char.unsafe_chr kind);
   t.ts.(slot) <- t.base + t.local;
   t.f0.(slot) <- a;
@@ -201,85 +209,65 @@ let dump ?(label = "") t =
 
 let jsonl_schema_version = 1
 
-let event_json ev =
-  let open Jsonu in
-  match ev with
-  | Spawn { at; path_id; br_pc; edge; entry_pc } ->
-    jobj
-      [
-        ("type", jstr "spawn");
-        ("at", string_of_int at);
-        ("path", string_of_int path_id);
-        ("br_pc", string_of_int br_pc);
-        ("edge", string_of_int (if edge then 1 else 0));
-        ("entry", string_of_int entry_pc);
-      ]
-  | Terminate { at; path_id; cause; len; dirty_lines } ->
-    jobj
-      [
-        ("type", jstr "terminate");
-        ("at", string_of_int at);
-        ("path", string_of_int path_id);
-        ("cause", jstr (cause_name cause));
-        ("len", string_of_int len);
-        ("dirty_lines", string_of_int dirty_lines);
-      ]
-  | Commit { at; owner; lines } ->
-    jobj
-      [
-        ("type", jstr "commit");
-        ("at", string_of_int at);
-        ("owner", string_of_int owner);
-        ("lines", string_of_int lines);
-      ]
-  | Squash { at; owner; lines } ->
-    jobj
-      [
-        ("type", jstr "squash");
-        ("at", string_of_int at);
-        ("owner", string_of_int owner);
-        ("lines", string_of_int lines);
-      ]
-  | Bug_detected { at; site; origin; spawn_site; edge; pc } ->
-    jobj
-      [
-        ("type", jstr "bug");
-        ("at", string_of_int at);
-        ("site", string_of_int site);
-        ("origin", string_of_int origin);
-        ("spawn_site", string_of_int spawn_site);
-        ("edge", string_of_int edge);
-        ("pc", string_of_int pc);
-      ]
-  | Counter_reset { at; insns } ->
-    jobj
-      [
-        ("type", jstr "counter_reset");
-        ("at", string_of_int at);
-        ("insns", string_of_int insns);
-      ]
+(* Events are written straight into the trace's buffer: no per-field or
+   per-event string. Every key and string value is plain ASCII, so nothing
+   needs escaping; the bytes are exactly those of [Jsonu.jobj]. *)
+let add_field buf key v =
+  Buffer.add_string buf ",\"";
+  Buffer.add_string buf key;
+  Buffer.add_string buf "\":";
+  Buffer.add_string buf v
+
+let add_event buf ev =
+  let int key v = add_field buf key (string_of_int v) in
+  let head kind at =
+    Buffer.add_string buf "{\"type\":\"";
+    Buffer.add_string buf kind;
+    Buffer.add_char buf '"';
+    int "at" at
+  in
+  (match ev with
+   | Spawn { at; path_id; br_pc; edge; entry_pc } ->
+     head "spawn" at;
+     int "path" path_id;
+     int "br_pc" br_pc;
+     int "edge" (if edge then 1 else 0);
+     int "entry" entry_pc
+   | Terminate { at; path_id; cause; len; dirty_lines } ->
+     head "terminate" at;
+     int "path" path_id;
+     add_field buf "cause" ("\"" ^ cause_name cause ^ "\"");
+     int "len" len;
+     int "dirty_lines" dirty_lines
+   | Commit { at; owner; lines } ->
+     head "commit" at;
+     int "owner" owner;
+     int "lines" lines
+   | Squash { at; owner; lines } ->
+     head "squash" at;
+     int "owner" owner;
+     int "lines" lines
+   | Bug_detected { at; site; origin; spawn_site; edge; pc } ->
+     head "bug" at;
+     int "site" site;
+     int "origin" origin;
+     int "spawn_site" spawn_site;
+     int "edge" edge;
+     int "pc" pc
+   | Counter_reset { at; insns } ->
+     head "counter_reset" at;
+     int "insns" insns);
+  Buffer.add_string buf "}\n"
 
 (* One meta line (schema version, run label, totals) followed by one line
    per retained event, oldest first. Every line is a complete JSON object. *)
 let jsonl_of_dump d =
-  let buf = Buffer.create (256 + (64 * List.length d.events)) in
-  Buffer.add_string buf
-    (Jsonu.jobj
-       [
-         ("type", Jsonu.jstr "meta");
-         ("schema", string_of_int jsonl_schema_version);
-         ("label", Jsonu.jstr d.label);
-         ("clock", Jsonu.jstr "sim-cycles");
-         ("events", string_of_int (List.length d.events));
-         ("total", string_of_int d.total);
-         ("dropped", string_of_int d.dropped);
-       ]);
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun ev ->
-      Buffer.add_string buf (event_json ev);
-      Buffer.add_char buf '\n')
-    d.events;
+  let n = List.length d.events in
+  let buf = Buffer.create (256 + (64 * n)) in
+  Printf.bprintf buf
+    "{\"type\":\"meta\",\"schema\":%d,\"label\":%s,\"clock\":\"sim-cycles\",\"events\":%d,\"total\":%d,\"dropped\":%d}\n"
+    jsonl_schema_version (Jsonu.jstr d.label) n d.total d.dropped;
+  List.iter (add_event buf) d.events;
   Buffer.contents buf
 
 (* ---- Chrome trace-event exporter (Perfetto / chrome://tracing) ---------- *)

@@ -1,14 +1,17 @@
-(** The deterministic flight recorder: a fixed-capacity ring buffer of typed
-    NT-Path lifecycle events, timestamped in {e simulated cycles} (never wall
+(** The deterministic flight recorder: a ring buffer of typed NT-Path
+    lifecycle events, timestamped in {e simulated cycles} (never wall
     clock), so traces are byte-identical across serial and parallel runs of
     the same sweep.
 
     One recorder belongs to one run (one [Machine.t]) and is mutated from a
     single domain. With tracing disabled every emit site costs one branch on
     {!enabled} and the shared {!disabled} singleton is never written; with
-    tracing enabled an emit is a handful of stores into preallocated flat
-    arrays — no allocation either way. A full ring overwrites its oldest
-    events and counts them in {!dropped}.
+    tracing enabled an emit is one compare and a handful of stores into flat
+    arrays. The ring starts small and doubles, up to its capacity, whenever
+    an emit finds it full, so a short run allocates only what it uses. Only
+    a ring at full capacity wraps: it then overwrites its oldest events and
+    counts them in {!dropped}. A recorder is never pooled, so it stays
+    readable after [Machine.release].
 
     Timestamps are [base + local]: {!set_base} holds the primary context's
     cycle count at NT-Path spawn (0 on the primary context itself) and
@@ -45,7 +48,8 @@ type t
 
 val default_capacity : int
 
-(** A fresh enabled recorder (capacity in events, default 65536). *)
+(** A fresh enabled recorder (capacity in events, default 65536; the ring
+    starts at 256 slots, or the capacity if smaller, and grows on demand). *)
 val create : ?capacity:int -> unit -> t
 
 (** The shared no-op recorder: {!enabled} is [false] and it is never
@@ -94,7 +98,7 @@ val dump : ?label:string -> t -> dump
 val jsonl_schema_version : int
 
 (** One meta line (schema, label, totals) then one JSON object per event,
-    oldest first, newline-terminated. *)
+    oldest first, newline-terminated, rendered into one buffer. *)
 val jsonl_of_dump : dump -> string
 
 (** Chrome trace-event JSON (loadable in Perfetto / chrome://tracing):

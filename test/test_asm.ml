@@ -87,20 +87,9 @@ main:
   in
   Alcotest.(check int) "four instructions" 4 (Array.length code);
   let program =
-    {
-      Program.code;
-      entry = 0;
-      globals_words = 0;
-      init_data = [];
-      sites = [||];
-      user_branches = [];
-      functions = [];
-      user_code_ranges = [];
-      fix_atoms = [];
-      global_vars = [];
-      blank_addrs = [];
-      source_lines = [||];
-    }
+    Program.make ~code ~entry:0 ~globals_words:0 ~init_data:[] ~sites:[||]
+      ~user_branches:[] ~functions:[] ~user_code_ranges:[] ~fix_atoms:[]
+      ~global_vars:[] ~blank_addrs:[] ~source_lines:[||]
   in
   let machine = Machine.create program in
   (match (Cpu.run_baseline machine).Cpu.outcome with

@@ -78,21 +78,11 @@ let test_is_branch_memory () =
     (Insn.is_memory_access (Insn.Pred (Insn.Store (1, 2, 0))));
   Alcotest.(check bool) "li" false (Insn.is_memory_access (Insn.Li (1, 0)))
 
-let trivial_program code =
-  {
-    Program.code = Array.of_list code;
-    entry = 0;
-    globals_words = 0;
-    init_data = [];
-    sites = [||];
-    user_branches = [];
-    functions = [];
-    user_code_ranges = [];
-    fix_atoms = [];
-    global_vars = [];
-    blank_addrs = [];
-    source_lines = [||];
-  }
+let trivial_program ?(init_data = []) ?(functions = []) ?(source_lines = [||])
+    code =
+  Program.make ~code:(Array.of_list code) ~entry:0 ~globals_words:0 ~init_data
+    ~sites:[||] ~user_branches:[] ~functions ~user_code_ranges:[]
+    ~fix_atoms:[] ~global_vars:[] ~blank_addrs:[] ~source_lines
 
 let test_validate_ok () =
   Program.validate (trivial_program [ Insn.Li (1, 5); Insn.Halt ])
@@ -115,7 +105,7 @@ let test_validate_nested_pred () =
 
 let test_validate_bad_init () =
   let program =
-    { (trivial_program [ Insn.Halt ]) with Program.init_data = [ (0, 1) ] }
+    trivial_program ~init_data:[ (0, 1) ] [ Insn.Halt ]
   in
   Alcotest.(check bool) "init in null page rejected" true
     (try
@@ -125,10 +115,8 @@ let test_validate_bad_init () =
 
 let test_line_of_pc () =
   let program =
-    {
-      (trivial_program [ Insn.Nop; Insn.Nop; Insn.Nop; Insn.Halt ]) with
-      Program.source_lines = [| (0, 10); (2, 20) |];
-    }
+    trivial_program ~source_lines:[| (0, 10); (2, 20) |]
+      [ Insn.Nop; Insn.Nop; Insn.Nop; Insn.Halt ]
   in
   Alcotest.(check int) "first" 10 (Program.line_of_pc program 0);
   Alcotest.(check int) "middle" 10 (Program.line_of_pc program 1);
@@ -136,10 +124,8 @@ let test_line_of_pc () =
 
 let test_function_of_pc () =
   let program =
-    {
-      (trivial_program [ Insn.Nop; Insn.Nop; Insn.Halt ]) with
-      Program.functions = [ ("start", 0); ("main", 1) ];
-    }
+    trivial_program ~functions:[ ("start", 0); ("main", 1) ]
+      [ Insn.Nop; Insn.Nop; Insn.Halt ]
   in
   Alcotest.(check (option string)) "start" (Some "start")
     (Program.function_of_pc program 0);

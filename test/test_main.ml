@@ -20,6 +20,7 @@ let () =
       ("selective", Test_selective.tests);
       ("cache-properties", Test_cache_props.tests);
       ("cache-fastpath", Test_cache_fastpath.tests);
+      ("parts", Test_parts.tests);
       ("properties", Test_props.tests);
       ("obs", Test_obs.tests);
     ]

@@ -79,6 +79,71 @@ let test_ring_overflow () =
   Alcotest.(check (list int)) "oldest events overwritten, order kept"
     [ 3; 4; 5; 6 ] insns
 
+(* The ring starts small and doubles up to its capacity; only a full-size
+   ring wraps. Capacity 1000 is above the initial ring and not a power of
+   two, so the last doubling is clamped. Each count is checked against a
+   model: the last [min n capacity] events, in order. *)
+let test_ring_growth () =
+  let capacity = 1000 in
+  List.iter
+    (fun n ->
+      let r = Recorder.create ~capacity () in
+      for i = 1 to n do
+        Recorder.emit_counter_reset r ~insns:i
+      done;
+      let kept = min n capacity in
+      let label = Printf.sprintf "%d events" n in
+      Alcotest.(check int) (label ^ ": length") kept (Recorder.length r);
+      Alcotest.(check int) (label ^ ": total") n (Recorder.total r);
+      Alcotest.(check int) (label ^ ": dropped") (n - kept) (Recorder.dropped r);
+      Alcotest.(check (list int)) (label ^ ": events")
+        (List.init kept (fun i -> n - kept + 1 + i))
+        (List.map
+           (function
+             | Recorder.Counter_reset { insns; _ } -> insns
+             | _ -> Alcotest.fail "unexpected event kind")
+           (Recorder.events r)))
+    [ 0; 1; 255; 256; 257; 700; capacity - 1; capacity; capacity + 1; 2500 ]
+
+(* One golden line per event kind, byte for byte, each a valid JSON
+   object; the meta line escapes the label. *)
+let test_jsonl_golden () =
+  let events =
+    Recorder.
+      [
+        Spawn { at = 10; path_id = 1; br_pc = 42; edge = true; entry_pc = 43 };
+        Terminate
+          { at = 15; path_id = 1; cause = Cache_overflow; len = 5; dirty_lines = 2 };
+        Commit { at = 20; owner = 0; lines = 3 };
+        Squash { at = 21; owner = 1; lines = 2 };
+        Bug_detected
+          { at = 22; site = 4; origin = 1; spawn_site = 42; edge = 0; pc = 50 };
+        Counter_reset { at = 30; insns = 1000 };
+      ]
+  in
+  let jsonl =
+    Recorder.jsonl_of_dump
+      { Recorder.label = "a\"b"; events; total = 8; dropped = 2 }
+  in
+  let golden =
+    [
+      {|{"type":"meta","schema":1,"label":"a\"b","clock":"sim-cycles","events":6,"total":8,"dropped":2}|};
+      {|{"type":"spawn","at":10,"path":1,"br_pc":42,"edge":1,"entry":43}|};
+      {|{"type":"terminate","at":15,"path":1,"cause":"cache-overflow","len":5,"dirty_lines":2}|};
+      {|{"type":"commit","at":20,"owner":0,"lines":3}|};
+      {|{"type":"squash","at":21,"owner":1,"lines":2}|};
+      {|{"type":"bug","at":22,"site":4,"origin":1,"spawn_site":42,"edge":0,"pc":50}|};
+      {|{"type":"counter_reset","at":30,"insns":1000}|};
+    ]
+  in
+  Alcotest.(check string) "golden JSONL" (String.concat "\n" golden ^ "\n") jsonl;
+  List.iter
+    (fun line ->
+      match Jsonu.parse line with
+      | Ok (Jsonu.Obj _) -> ()
+      | Ok _ | Error _ -> Alcotest.failf "not a JSON object: %s" line)
+    golden
+
 let test_disabled_is_noop () =
   let r = Recorder.disabled in
   Recorder.set_base r 100;
@@ -408,6 +473,9 @@ let tests =
     Alcotest.test_case "histogram JSON shape" `Quick test_hist_json;
     Alcotest.test_case "histogram aggregation" `Quick test_hist_aggregate;
     Alcotest.test_case "ring overflow semantics" `Quick test_ring_overflow;
+    Alcotest.test_case "ring grows on demand" `Quick test_ring_growth;
+    Alcotest.test_case "JSONL golden line per event kind" `Quick
+      test_jsonl_golden;
     Alcotest.test_case "disabled recorder is inert" `Quick test_disabled_is_noop;
     Alcotest.test_case "base+local sim clock" `Quick test_clock_base_local;
     Alcotest.test_case "cache emits squash and commit" `Quick
