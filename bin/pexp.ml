@@ -50,10 +50,20 @@ let write_output (oc, _) contents =
   output_string oc contents;
   close_out oc
 
+(* Resolve --app and --bug before compiling anything, so a bad name fails
+   like a bad output path: one line on stderr, nothing on stdout, exit 1. *)
+let resolve ~app ~bug =
+  try
+    let workload = Registry.find app in
+    (workload, Option.map (Workload.find_bug workload) bug)
+  with Invalid_argument msg ->
+    prerr_endline msg;
+    exit 1
+
 let run_one ~app ~detector ~mode ~bug ~fixing ~selective ~seed
     ~random_input ~stats ~disasm ~trace ~trace_chrome ~opt ~dump_pass ~obs
     ~prometheus =
-  let workload = Registry.find app in
+  let workload, planted = resolve ~app ~bug in
   let compiled =
     match dump_pass with
     | None -> Workload.compile ~detector ~fixing ~opt ?bug workload
@@ -164,10 +174,9 @@ let run_one ~app ~detector ~mode ~bug ~fixing ~selective ~seed
       Sink.printf "  %s\n"
         (Site.to_string compiled.Compile.program.Program.sites.(id)))
     (Report.distinct_sites reports);
-  match bug with
+  match planted with
   | None -> ()
-  | Some version ->
-    let bug = Workload.find_bug workload version in
+  | Some bug ->
     let analysis = Analysis.analyze ~compiled ~machine ~bug in
     Sink.printf "bug %s: %s (taken-path: %b, NT-Path: %b, %d false positives)\n"
       bug.Bug.id

@@ -74,7 +74,7 @@ type t = {
      batched [memo_probe]+[add_hits] credits — and verified tag-filter hits *)
   mutable memo_hits : int;
   mutable filter_hits : int;
-  mutable fastpath : bool;  (* memo + filter enabled (kill switch) *)
+  mutable fastpath : bool;  (* memo enabled (kill switch; filter always on) *)
   (* MRU line memo, entry 0 newest. [memo_laddr*] is the line address or
      [min_int] (never a real line address) when dead; [memo_owner*] mirrors
      the line's current owner tag; [memo_set*] are distinct whenever both

@@ -34,13 +34,14 @@ val access : ?owner:int -> ?write:bool -> ?allocate:bool -> t -> int -> outcome
     optional arguments box their values ([Some owner]) on each call, which
     at one-plus allocation per simulated load/store is measurable.
 
-    Probes run through a two-layer fast path unless disabled (see
-    {!set_fastpath}): an MRU line memo that answers semantically no-op hits
-    (MRU read hit, or same-owner write hit — no retag, no LRU reorder) in a
-    couple of compares, then a per-set direct-mapped tag filter that tries
-    the set's last-touched way before the associative walk. Observable
-    behaviour — hit/miss outcomes, counters, owners, journals, eviction
-    order — is identical with the fast path on or off. *)
+    Probes run through a two-layer fast path: an MRU line memo that
+    answers semantically no-op hits (MRU read hit, or same-owner write hit
+    — no retag, no LRU reorder) in a couple of compares, then a per-set
+    direct-mapped tag filter that tries the set's last-touched way before
+    the associative walk. {!set_fastpath} turns off the memo only; the tag
+    filter always runs. Observable behaviour — hit/miss outcomes, counters,
+    owners, journals, eviction order — is identical with the memo on or
+    off. *)
 val access_line :
   t -> int -> owner:int -> write:bool -> allocate:bool -> outcome
 
@@ -55,8 +56,9 @@ val memo_probe : t -> int -> owner:int -> write:bool -> bool
     batched accounting around {!memo_probe}). *)
 val add_hits : t -> int -> unit
 
-(** Enable/disable this cache's probe fast path (memo + filter). Disabling
-    and re-enabling kills the memo, so stale entries are never trusted. *)
+(** Enable/disable this cache's MRU line memo (and with it {!memo_probe}).
+    The tag filter is not affected. Disabling and re-enabling kills the
+    memo, so stale entries are never trusted. *)
 val set_fastpath : t -> bool -> unit
 
 (** Process-wide default for caches created from now on. Initialised from

@@ -159,10 +159,83 @@ let test_compile_lru () =
       let c1'' = Workload.compile ~bug:1 w in
       Alcotest.(check bool) "lru survivor still memoized" true (c1 == c1''))
 
+(* Dynamic retired instructions of one plain-CPU default-input run of every
+   registry workload, at -O0 and at -O2. The counts are simulation-exact,
+   so they are pinned: any change to emission or to the optimizer moves
+   them, and the aggregate -O2 win must stay at least 15%. *)
+let test_retired_insns () =
+  let retired level =
+    List.map
+      (fun (w : Workload.t) ->
+        let compiled = Workload.compile ~opt:level w in
+        let machine =
+          Machine.create ~input:w.Workload.default_input
+            compiled.Compile.program
+        in
+        let r = Cpu.run_baseline machine in
+        Machine.release machine;
+        (match r.Cpu.outcome with
+         | `Halted | `Exited _ -> ()
+         | `Faulted _ | `Fuel_exhausted ->
+           Alcotest.failf "%s at %s: run died" w.Workload.name
+             (Opt.to_string level));
+        (w.Workload.name, r.Cpu.insns))
+      Registry.all
+  in
+  let pinned =
+    (* name, -O0, -O2 *)
+    [ ("099.go", 597828, 432649); ("bc-1.06", 48455, 47462);
+      ("man-1.5h1", 25987, 22762); ("print_tokens2", 35527, 29292);
+      ("print_tokens", 21084, 18632); ("schedule", 30126, 26982);
+      ("schedule2", 35772, 30877); ("164.gzip", 497297, 406533);
+      ("175.vpr", 3283607, 2803924); ("197.parser", 39354, 34972) ]
+  in
+  let o0 = retired Opt.O0 and o2 = retired Opt.O2 in
+  let pairs = Alcotest.(list (pair string int)) in
+  Alcotest.check pairs "-O0 per workload"
+    (List.map (fun (n, c, _) -> (n, c)) pinned)
+    o0;
+  Alcotest.check pairs "-O2 per workload"
+    (List.map (fun (n, _, c) -> (n, c)) pinned)
+    o2;
+  let total = List.fold_left (fun acc (_, n) -> acc + n) 0 in
+  let t0 = total o0 and t2 = total o2 in
+  Alcotest.(check (pair int int)) "totals" (4_615_037, 3_854_085) (t0, t2);
+  Alcotest.(check bool) "-O2 retires at least 15% fewer" true
+    (100 * (t0 - t2) >= 15 * t0)
+
+(* Share of simulated instructions (taken path plus NT-Paths) that the
+   selective fast tier retires, over one Standard default-input run of
+   every registry workload. Pinned exactly, with the old 2-point floor
+   under the committed 0.9984 kept as a stated assertion. *)
+let test_fast_tier_share () =
+  let fast, insns =
+    List.fold_left
+      (fun (fast, insns) (w : Workload.t) ->
+        let compiled = Workload.compile w in
+        let machine =
+          Machine.create ~input:w.Workload.default_input
+            compiled.Compile.program
+        in
+        ignore (Engine.run ~config:(Workload.pe_config w) machine);
+        Machine.release machine;
+        let c = Telemetry.counter machine.Machine.telemetry in
+        ( fast + c "selective.fast_insns" + c "nt.fast_insns",
+          insns + c "taken.insns" + c "nt.insns" ))
+      (0, 0) Registry.all
+  in
+  Alcotest.(check int) "fast-tier instructions" 5_507_752 fast;
+  Alcotest.(check int) "simulated instructions" 5_516_637 insns;
+  Alcotest.(check bool) "fast-tier share >= 0.9784" true
+    (float_of_int fast /. float_of_int insns >= 0.9784)
+
 let tests =
   Alcotest.test_case "registry shape" `Quick test_registry_shape
   :: Alcotest.test_case "registry find" `Quick test_find
   :: Alcotest.test_case "bounded compile memo" `Quick test_compile_lru
+  :: Alcotest.test_case "retired instructions -O0 vs -O2" `Quick
+       test_retired_insns
+  :: Alcotest.test_case "fast-tier share" `Quick test_fast_tier_share
   :: (List.map clean_run_case Registry.all
      @ List.map output_deterministic_case Registry.all
      @ List.map pe_preserves_output_case Registry.all
