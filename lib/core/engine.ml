@@ -362,9 +362,11 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) machine =
      (leaving the BTB untouched), so the straight-line stretches between
      branches still run fast while every per-branch action — RNG draw,
      observation, BTB traffic, spawn — happens on the instrumented tier in
-     the exact sequence the single-tier loop produces. Watchpoints and store
-     hooks are re-checked each iteration below because they come and go at
-     runtime. *)
+     the exact sequence the single-tier loop produces. Armed watchpoints
+     need no gate: the fast tier stops before any access to a word the
+     watchpoint unit's filter flags, and the instrumented tier files the
+     report. A store hook is re-checked each iteration below because it
+     comes and goes at runtime. *)
   let selective_ok = Pe_config.selective_on config in
   let spawning =
     (* Branches need the instrumented tier whenever they spawn (non-Baseline
@@ -395,6 +397,16 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) machine =
   let classify_deopt () =
     let pc = ctx.Context.pc in
     let dcode = machine.Machine.program.Program.dcode in
+    let regs = ctx.Context.regs in
+    (* A memory operand the fast tier refused to touch: a valid address
+       stops it only when the watch filter flags the word. *)
+    let mem_op addr =
+      if
+        Memory.is_valid machine.Machine.mem addr
+        && Watchpoints.flagged machine.Machine.watch addr
+      then incr d_watch
+      else incr d_fault
+    in
     if pc < 0 || pc >= Array.length dcode then incr d_fault
     else
       let rec go = function
@@ -402,10 +414,13 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) machine =
         | Decode.D_watch _ | Decode.D_unwatch _ -> incr d_watch
         | Decode.D_checkz _ -> incr d_detector
         | Decode.D_div _ | Decode.D_mod _ | Decode.D_divi _ | Decode.D_modi _
-        | Decode.D_load _ | Decode.D_store _ | Decode.D_call _ | Decode.D_ret
-        | Decode.D_push _ | Decode.D_pop _ ->
-          (* memory/divisor operands the fast tier refused to touch *)
+          ->
+          (* a zero divisor *)
           incr d_fault
+        | Decode.D_load (_, base, off) | Decode.D_store (_, base, off) ->
+          mem_op (regs.(base) + off)
+        | Decode.D_call _ | Decode.D_push _ -> mem_op (regs.(Reg.sp) - 1)
+        | Decode.D_ret | Decode.D_pop _ -> mem_op regs.(Reg.sp)
         | Decode.D_pred d -> go d
         | _ -> incr d_other
       in
@@ -417,7 +432,6 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) machine =
       maybe_reset ();
       if
         selective_ok
-        && Watchpoints.is_empty machine.Machine.watch
         && (match machine.Machine.store_hook with
            | None -> true
            | Some _ -> false)
@@ -460,8 +474,8 @@ let run ?(config = Pe_config.default) ?(fuel = 100_000_000) machine =
       end
       else begin
         (* Instrumented-tier instruction outside the fast/slow split: either
-           selective execution is off for this run, or active watchpoints /
-           a store hook pin execution to the instrumented tier. *)
+           selective execution is off for this run, or a store hook pins
+           execution to the instrumented tier. *)
         if obs && selective_ok then incr pinned_insns;
         step_slow (-1)
       end

@@ -3,13 +3,14 @@
 
    This is the engine's answer to detection bloat (coverage-preserving
    selective instrumentation, as in HeXcite): a path runs here with no
-   detector hooks, no watchpoint probes, no store-hook dispatch and no
+   detector hooks, no watchpoint range walks, no store-hook dispatch and no
    recorder branches — just registers, memory, cache timing and coverage
    bits. The moment an instruction needs any of the heavy machinery (a
-   syscall, a watch/unwatch, a detector check that would file a report, a
-   fault, or a branch whose cold-edge counter makes it a spawn candidate)
-   the loop stops *before* that instruction and the caller executes it on
-   the fully instrumented tier ([Cpu.step]). Deoptimization, not
+   syscall, a watch/unwatch, an access to a word the watchpoint unit's
+   filter flags, a detector check that would file a report, a fault, or a
+   branch whose cold-edge counter makes it a spawn candidate) the loop
+   stops *before* that instruction and the caller executes it on the
+   fully instrumented tier ([Cpu.step]). Deoptimization, not
    re-execution: no instruction ever runs twice, so every observable —
    architectural state, stats, cache/BTB contents, coverage, reports,
    recorder stream, program output — is bit-for-bit what the instrumented
@@ -91,6 +92,10 @@ type t = {
      from the context/sandbox at every segment ([run]). *)
   mutable l1 : Cache.t;
   mutable owner : int;
+  (* The watchpoint unit's per-word filter, re-read at every segment: only
+     watch, unwatch and an NT-Path squash's undo change it, and none of
+     them runs inside a segment. *)
+  mutable watch_filter : Bytes.t;
   (* per-segment parameter and results *)
   mutable budget : int;
   mutable retired : int;
@@ -111,6 +116,14 @@ let[@inline always] latency t ~write addr =
   else
     Machine.access_latency t.machine t.l1 ~owner:t.owner ~write
       ~speculative:t.speculative addr
+
+(* The word at [addr] may be watched: the access must run on the
+   instrumented tier, whose [Cpu.check_watch] makes the exact range test
+   and files the report. [addr] has passed [Memory.is_valid], so it is not
+   negative. *)
+let[@inline always] watched t addr =
+  addr < Bytes.length t.watch_filter
+  && Bytes.unsafe_get t.watch_filter addr <> '\000'
 
 (* [addr] has passed [Memory.is_valid]. *)
 let[@inline always] read t addr =
@@ -228,7 +241,8 @@ let rec go t pc n cyc ld st br =
       go t (pc + 1) (n + 1) (cyc + 1) ld st br
     | Decode.D_load (rd, base, off) ->
       let addr = Array.unsafe_get regs base + off in
-      if not (Memory.is_valid t.mem addr) then special t pc n cyc ld st br
+      if not (Memory.is_valid t.mem addr) || watched t addr then
+        special t pc n cyc ld st br
       else begin
         let lat = latency t ~write:false addr in
         let v = read t addr in
@@ -238,7 +252,8 @@ let rec go t pc n cyc ld st br =
       end
     | Decode.D_store (rs, base, off) ->
       let addr = Array.unsafe_get regs base + off in
-      if not (Memory.is_valid t.mem addr) then special t pc n cyc ld st br
+      if not (Memory.is_valid t.mem addr) || watched t addr then
+        special t pc n cyc ld st br
       else begin
         let lat = latency t ~write:true addr in
         cover t pc;
@@ -273,7 +288,8 @@ let rec go t pc n cyc ld st br =
       go t target (n + 1) (cyc + 1) ld st br
     | Decode.D_call target ->
       let sp = Array.unsafe_get regs Reg.sp - 1 in
-      if not (Memory.is_valid t.mem sp) then special t pc n cyc ld st br
+      if not (Memory.is_valid t.mem sp) || watched t sp then
+        special t pc n cyc ld st br
       else begin
         Array.unsafe_set regs Reg.sp sp;
         let lat = latency t ~write:true sp in
@@ -284,7 +300,8 @@ let rec go t pc n cyc ld st br =
       end
     | Decode.D_ret ->
       let sp = Array.unsafe_get regs Reg.sp in
-      if not (Memory.is_valid t.mem sp) then special t pc n cyc ld st br
+      if not (Memory.is_valid t.mem sp) || watched t sp then
+        special t pc n cyc ld st br
       else begin
         let lat = latency t ~write:false sp in
         let ra = read t sp in
@@ -294,7 +311,8 @@ let rec go t pc n cyc ld st br =
       end
     | Decode.D_push rs ->
       let sp = Array.unsafe_get regs Reg.sp - 1 in
-      if not (Memory.is_valid t.mem sp) then special t pc n cyc ld st br
+      if not (Memory.is_valid t.mem sp) || watched t sp then
+        special t pc n cyc ld st br
       else begin
         Array.unsafe_set regs Reg.sp sp;
         let lat = latency t ~write:true sp in
@@ -305,7 +323,8 @@ let rec go t pc n cyc ld st br =
       end
     | Decode.D_pop rd ->
       let sp = Array.unsafe_get regs Reg.sp in
-      if not (Memory.is_valid t.mem sp) then special t pc n cyc ld st br
+      if not (Memory.is_valid t.mem sp) || watched t sp then
+        special t pc n cyc ld st br
       else begin
         let lat = latency t ~write:false sp in
         let v = read t sp in
@@ -374,6 +393,7 @@ let make machine ctx coverage ~sandbox ~spawning ~threshold =
     threshold;
     l1 = ctx.Context.l1;
     owner = Cache.committed_owner;
+    watch_filter = Bytes.empty;
     budget = 0;
     retired = 0;
     memo_hits = 0;
@@ -385,6 +405,7 @@ let run t ~budget =
     (match t.sandbox with
      | None -> Cache.committed_owner
      | Some sb -> Context.sandbox_path_id sb);
+  t.watch_filter <- Watchpoints.filter t.machine.Machine.watch;
   t.budget <- budget;
   t.memo_hits <- 0;
   let stop = go t t.ctx.Context.pc 0 0 0 0 0 in

@@ -3,7 +3,8 @@
     instrumented tier ([Cpu.step] under {!Engine.run} or {!Nt_path.run}) for
     the instructions it executes, and stops — committing nothing —
     immediately before any instruction that needs detector, watchpoint,
-    syscall, recorder or spawn machinery. The caller then executes that
+    syscall, recorder or spawn machinery — for watchpoints, any access to a
+    word the watchpoint unit's filter flags. The caller then executes that
     instruction on the instrumented tier (deoptimization, not
     re-execution), keeping every observable bit-for-bit identical to a fully
     instrumented run.
@@ -77,8 +78,8 @@ val make :
     instruction the instrumented tier must run.
 
     Preconditions (enforced by {!Engine.run} and {!Nt_path.run}): [ctx] is
-    sandboxed in the handle's sandbox, or unsandboxed for [None]; no
-    watchpoints armed; no store hook. *)
+    sandboxed in the handle's sandbox, or unsandboxed for [None]; no store
+    hook. *)
 val run : t -> budget:int -> stop
 
 (** Instructions retired by the most recent {!run} segment. *)

@@ -147,8 +147,9 @@ let run ?fix_override machine ~arena ~l1 ~regs ~entry ~spawn_br_pc
   (* Selective fast tier inside the path: the arena's handle is bound to
      exactly this path's context and sandbox, and re-reads the context's L1
      and the sandbox's path id per segment, covering per-spawn retargeting.
-     Watchpoints and the store hook are rechecked every iteration — the
-     path itself arms and disarms them. *)
+     The fast tier stops before any access to a watched word, and re-reads
+     the watch filter per segment, so watchpoints the path itself arms and
+     disarms need no gate; the store hook is rechecked every iteration. *)
   let fast_ok = Pe_config.selective_on config in
   let fl = arena.fl in
   let fast_insns = ref 0 in
@@ -157,7 +158,6 @@ let run ?fix_override machine ~arena ~l1 ~regs ~entry ~spawn_br_pc
     then T_max_length
     else if
       fast_ok
-      && Watchpoints.is_empty machine.Machine.watch
       && (match machine.Machine.store_hook with
          | None -> true
          | Some _ -> false)

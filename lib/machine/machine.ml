@@ -61,7 +61,7 @@ let create ?(config = Machine_config.default) ?(input = "") ?recorder program =
        and assoc = config.Machine_config.btb_assoc in
        Parts.take btbs ~reset:Btb.clear ~fits:(Btb.has_geometry ~entries ~assoc)
          ~fresh:(fun () -> Btb.create ~entries ~assoc));
-    watch = Watchpoints.create ();
+    watch = Watchpoints.create ~words:(Memory.size mem);
     reports = Report.create ();
     io = Io.create ~input ();
     insn_index = 0;

@@ -7,7 +7,12 @@
    ALU paths and the optimizer's passes.
 
    [cache_overflow]: a cold edge whose NT-Path dirties more distinct L1
-   lines than the cache can buffer — the paper's capacity-driven squash. *)
+   lines than the cache can buffer — the paper's capacity-driven squash.
+
+   [red_zones]: compiled for iWatcher, a taken-path store into a global's
+   red zone, and a cold edge whose NT-Path overflows a local array: the
+   path arms the array's red zone (a journaled watch), stores into it and
+   disarms it, and its squash undoes both. *)
 
 type clause = { mul : int; modulus : int; bound : int; shift : int }
 
@@ -66,6 +71,31 @@ int main() {
       }
     }
   }
+  return 0;
+}
+|}
+
+let red_zones =
+  {|
+int g[4];
+int probe(int n) {
+  int buf[4];
+  int i;
+  for (i = 0; i <= n; i = i + 1) {
+    buf[i] = i;
+  }
+  return buf[0] + buf[3];
+}
+int main() {
+  int c = getc();
+  int s = 0;
+  int k;
+  for (k = 0; k < 40; k = k + 1) {
+    if (c == 122) { s = s + probe(4); }
+    else { s = s + probe(3); }
+  }
+  g[c - 93] = s;
+  print_int(s);
   return 0;
 }
 |}

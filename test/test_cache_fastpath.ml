@@ -191,11 +191,11 @@ let test_toggle_kills_memo () =
 (* --- watchpoint store on a memoized line ------------------------------------- *)
 
 (* A store through a watched red zone whose cache line sits in the memo:
-   the watch check is independent of the cache outcome, and segments with
-   armed watchpoints never enter the batching fast tier, so the memo must
-   not swallow the report. Run the iWatcher overflow workload end-to-end
-   with the fast path on and off — identical reports, output and retired
-   counts. *)
+   the watch check is independent of the cache outcome, and the fast tier
+   stops before an access to a watched word, ahead of its batched memo
+   probe, so the memo must not swallow the report. Run the iWatcher
+   overflow workload end-to-end with the fast path on and off — identical
+   reports, output and retired counts. *)
 let run_iwatcher ~fastpath source =
   let saved = Cache.fastpath_enabled () in
   Cache.set_fastpath_enabled fastpath;

@@ -186,7 +186,7 @@ let test_btb_occupancy_saturation () =
     (Btb.valid_entries btb)
 
 let test_watchpoints () =
-  let w = Watchpoints.create () in
+  let w = Watchpoints.create ~words:1024 in
   let entry = Watchpoints.watch w ~lo:100 ~hi:110 ~site:7 in
   Alcotest.(check bool) "inside" true (Watchpoints.is_watched w 105);
   Alcotest.(check bool) "hi exclusive" false (Watchpoints.is_watched w 110);
@@ -196,7 +196,7 @@ let test_watchpoints () =
   Alcotest.(check bool) "undone" false (Watchpoints.is_watched w 105)
 
 let test_watchpoint_modes () =
-  let w = Watchpoints.create () in
+  let w = Watchpoints.create ~words:1024 in
   let _ =
     Watchpoints.watch ~mode:Watchpoints.Watch_write w ~lo:50 ~hi:60 ~site:1
   in
@@ -209,12 +209,99 @@ let test_watchpoint_modes () =
     (Watchpoints.hit_sites w ~is_write:false 55)
 
 let test_watchpoints_unwatch_undo () =
-  let w = Watchpoints.create () in
+  let w = Watchpoints.create ~words:1024 in
   let _ = Watchpoints.watch w ~lo:10 ~hi:20 ~site:1 in
   let removed = Watchpoints.unwatch w ~lo:10 ~hi:20 in
   Alcotest.(check bool) "removed" false (Watchpoints.is_watched w 15);
   Watchpoints.undo w removed;
   Alcotest.(check bool) "restored" true (Watchpoints.is_watched w 15)
+
+(* The per-word filter over random watch/unwatch/undo sequences, in a
+   64-word address space with ranges that overhang both of its ends. Undo
+   picks any not-yet-undone journal entry, not only the newest. The filter
+   must flag every watched word inside the space and nothing outside it;
+   while no word is covered 255 times (a burst of 300 watches of one range
+   is the only way there), it flags exactly the watched words. *)
+type watch_op =
+  | W_watch of int * int
+  | W_unwatch of int * int
+  | W_undo of int
+  | W_burst of int * int
+
+let watch_op_gen =
+  let open QCheck.Gen in
+  let range = pair (int_range (-4) 68) (int_bound 10) in
+  frequency
+    [
+      (5, map (fun (lo, n) -> W_watch (lo, n)) range);
+      (2, map (fun (lo, n) -> W_unwatch (lo, n)) range);
+      (3, map (fun i -> W_undo i) (int_bound 50));
+      (1, map (fun (lo, n) -> W_burst (lo, n)) range);
+    ]
+
+let show_watch_op = function
+  | W_watch (lo, n) -> Printf.sprintf "watch %d+%d" lo n
+  | W_unwatch (lo, n) -> Printf.sprintf "unwatch %d+%d" lo n
+  | W_undo i -> Printf.sprintf "undo #%d" i
+  | W_burst (lo, n) -> Printf.sprintf "burst %d+%d" lo n
+
+let prop_watch_filter =
+  QCheck.Test.make ~name:"watch filter: sound, exact below saturation"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_watch_op ops))
+       QCheck.Gen.(list_size (int_bound 40) watch_op_gen))
+    (fun ops ->
+      let words = 64 in
+      let w = Watchpoints.create ~words in
+      let journal = ref [] in
+      let saturable = ref false in
+      let ok = ref true in
+      let check () =
+        for a = -8 to words + 8 do
+          let inside = a >= 0 && a < words in
+          let watched = inside && Watchpoints.is_watched w a in
+          let flagged = Watchpoints.flagged w a in
+          if watched && not flagged then ok := false;
+          if (not inside) && flagged then ok := false;
+          if (not !saturable) && flagged <> watched then ok := false
+        done
+      in
+      List.iter
+        (fun op ->
+          (match op with
+           | W_watch (lo, n) ->
+             journal := Watchpoints.watch w ~lo ~hi:(lo + n) ~site:0 :: !journal
+           | W_unwatch (lo, n) ->
+             journal := Watchpoints.unwatch w ~lo ~hi:(lo + n) :: !journal
+           | W_undo i ->
+             (match !journal with
+              | [] -> ()
+              | entries ->
+                let i = i mod List.length entries in
+                Watchpoints.undo w (List.nth entries i);
+                journal := List.filteri (fun j _ -> j <> i) entries)
+           | W_burst (lo, n) ->
+             saturable := true;
+             for _ = 1 to 300 do
+               journal :=
+                 Watchpoints.watch w ~lo ~hi:(lo + n) ~site:0 :: !journal
+             done);
+          check ())
+        ops;
+      !ok)
+
+let test_watch_filter_saturation () =
+  let w = Watchpoints.create ~words:64 in
+  let entries =
+    List.init 300 (fun _ -> Watchpoints.watch w ~lo:8 ~hi:10 ~site:1)
+  in
+  List.iter (Watchpoints.undo w) entries;
+  Alcotest.(check bool) "no range left" false (Watchpoints.is_watched w 8);
+  Alcotest.(check bool) "a saturated word stays flagged" true
+    (Watchpoints.flagged w 8);
+  Alcotest.(check bool) "its neighbour never was" false
+    (Watchpoints.flagged w 10)
 
 let test_report_log () =
   let log = Report.create () in
@@ -323,6 +410,9 @@ let tests =
     Alcotest.test_case "watchpoints" `Quick test_watchpoints;
     Alcotest.test_case "watchpoint modes" `Quick test_watchpoint_modes;
     Alcotest.test_case "watchpoints unwatch undo" `Quick test_watchpoints_unwatch_undo;
+    QCheck_alcotest.to_alcotest prop_watch_filter;
+    Alcotest.test_case "watch filter saturation" `Quick
+      test_watch_filter_saturation;
     Alcotest.test_case "report log" `Quick test_report_log;
     Alcotest.test_case "context registers" `Quick test_context_regs;
     Alcotest.test_case "context checkpoint" `Quick test_context_checkpoint;

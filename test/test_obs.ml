@@ -309,6 +309,56 @@ let test_capture_runs () =
   Alcotest.(check string) "labelled" "schedule/standard"
     (Obs.label (List.hd snaps))
 
+(* ---- Deopt causes --------------------------------------------------------- *)
+
+(* The fast tier stops before an access to a watched word; the Observatory
+   must file that stop under [watch], not [fault]. The same iWatcher image
+   runs twice in Baseline mode: with input "3" the loop stays inside [buf],
+   with "4" it makes one more store, into the red zone. That store is the
+   only extra stop, and it is a watch stop. *)
+let test_deopt_watch_cause () =
+  let source =
+    {|
+int smash(int n) {
+  int buf[4];
+  int i;
+  for (i = 0; i <= n; i = i + 1) {
+    buf[i] = i;
+  }
+  return buf[0];
+}
+int main() { return smash(getc() - 48); }
+|}
+  in
+  let compiled =
+    Compile.compile
+      ~options:{ Codegen.detector = Codegen.Iwatcher; fixing = true }
+      source
+  in
+  let run input =
+    let machine = Machine.create ~input compiled.Compile.program in
+    Pe_config.set_obs_enabled true;
+    Fun.protect
+      ~finally:(fun () -> Pe_config.set_obs_enabled false)
+      (fun () ->
+        let config =
+          { Pe_config.default with Pe_config.mode = Pe_config.Baseline }
+        in
+        ignore (Engine.run ~config machine));
+    let c = Telemetry.counter machine.Machine.telemetry in
+    ( c "obs.deopt.watch",
+      c "obs.deopt.fault",
+      Report.count machine.Machine.reports )
+  in
+  let watch_in, fault_in, reports_in = run "3" in
+  let watch_hit, fault_hit, reports_hit = run "4" in
+  Alcotest.(check int) "in bounds: no report" 0 reports_in;
+  Alcotest.(check int) "overflow: one report" 1 reports_hit;
+  Alcotest.(check (pair int int)) "no fault stops" (0, 0) (fault_in, fault_hit);
+  Alcotest.(check bool) "watch/unwatch stops counted" true (watch_in > 0);
+  Alcotest.(check int) "the red-zone store is one more watch stop"
+    (watch_in + 1) watch_hit
+
 (* ---- Prometheus exposition ------------------------------------------------ *)
 
 let test_prometheus () =
@@ -381,6 +431,8 @@ let tests =
     Alcotest.test_case "snapshot: deterministic bytes" `Quick
       test_snapshot_deterministic;
     Alcotest.test_case "snapshot: capture protocol" `Quick test_capture_runs;
+    Alcotest.test_case "deopt cause: a watched word is a watch stop" `Quick
+      test_deopt_watch_cause;
     Alcotest.test_case "telemetry: prometheus exposition" `Quick
       test_prometheus;
     Alcotest.test_case "telemetry: collector snapshot isolation" `Quick

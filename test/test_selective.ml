@@ -195,6 +195,7 @@ let observables machine (result : Engine.result) =
       Coverage.combined_edges result.Engine.coverage ),
     result.Engine.nt_records,
     Report.entries machine.Machine.reports,
+    Watchpoints.triggers machine.Machine.watch,
     Machine.output machine )
 
 let run_traced ~selective ~config ~input compiled =
@@ -207,7 +208,7 @@ let run_traced ~selective ~config ~input compiled =
 
 (* One program under one configuration: run fully instrumented and
    selectively, then demand identical observables — including the flight
-   recorder's event stream. *)
+   recorder's event stream. Returns the selective run. *)
 let check_compiled name ~config ~input compiled =
   let (m_off, r_off), traces_off =
     run_traced ~selective:false ~config ~input compiled
@@ -222,7 +223,7 @@ let check_compiled name ~config ~input compiled =
   Alcotest.(check (list string))
     (name ^ ": recorder streams identical")
     (List.map snd traces_off) (List.map snd traces_on);
-  (r_off, r_on)
+  (m_on, r_on)
 
 let check_differential name ?detector ?bug ~config workload =
   check_compiled name ~config ~input:workload.Workload.default_input
@@ -250,6 +251,47 @@ let test_differential_workloads () =
   ignore
     (check_differential "ccured bug" ~detector:Codegen.Ccured ~bug:10
        ~config:(Workload.pe_config Registry.print_tokens2)
+       Registry.print_tokens2);
+  (* iWatcher: armed watchpoints no longer pin a run to the instrumented
+     tier, so the fast tier must stop before exactly the accesses to
+     watched words. The planted program hits a global's red zone on the
+     taken path, and its cold edge's NT-Path hits a local array's red zone
+     and squashes the journaled watch that armed it. *)
+  let red_zones =
+    Compile.compile
+      ~options:{ Codegen.detector = Codegen.Iwatcher; fixing = true }
+      Programs.red_zones
+  in
+  let from_nt (r : Report.entry) =
+    match r.Report.origin with
+    | Report.Nt_path _ -> true
+    | Report.Taken_path -> false
+  in
+  let armed_after =
+    List.map
+      (fun mode ->
+        let name = "iwatcher red zones, " ^ Pe_config.mode_name mode in
+        let config = { Pe_config.default with Pe_config.mode } in
+        let m_on, r_on = check_compiled name ~config ~input:"a" red_zones in
+        let reports = Report.entries m_on.Machine.reports in
+        Alcotest.(check bool) (name ^ ": taken-path hit") true
+          (List.exists (fun r -> not (from_nt r)) reports);
+        Alcotest.(check bool) (name ^ ": NT-Path hit")
+          (mode <> Pe_config.Baseline)
+          (List.exists from_nt reports);
+        Alcotest.(check bool) (name ^ ": fast tier engaged") true
+          (r_on.Engine.fast_insns > r_on.Engine.taken_insns / 2);
+        Watchpoints.count m_on.Machine.watch)
+      [ Pe_config.Baseline; Pe_config.Standard; Pe_config.Cmp ]
+  in
+  (* Every NT-Path's watches were undone at its squash: the ranges left
+     armed are the taken path's, the same in every mode. *)
+  Alcotest.(check (list int)) "squash leaves no NT-Path watch armed"
+    (List.map (fun _ -> List.hd armed_after) armed_after)
+    armed_after;
+  ignore
+    (check_differential "iwatcher bug, cmp" ~detector:Codegen.Iwatcher ~bug:10
+       ~config:(Workload.pe_config ~mode:Pe_config.Cmp Registry.print_tokens2)
        Registry.print_tokens2)
 
 (* The per-branch-action configurations deoptimize at *every* branch

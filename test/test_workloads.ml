@@ -229,6 +229,36 @@ let test_fast_tier_share () =
   Alcotest.(check bool) "fast-tier share >= 0.9784" true
     (float_of_int fast /. float_of_int insns >= 0.9784)
 
+(* The same share for iWatcher images, over one Baseline -O2 default-input
+   run of every registry workload. Every image watches its globals' red
+   zones before [main], so the fast tier carries these runs only because it
+   stops before the accesses to watched words alone (0.9990 pinned, with a
+   floor two points under it). *)
+let test_iwatcher_fast_tier_share () =
+  let fast, insns =
+    List.fold_left
+      (fun (fast, insns) (w : Workload.t) ->
+        let compiled =
+          Workload.compile ~detector:Codegen.Iwatcher ~opt:Opt.O2 w
+        in
+        let machine =
+          Machine.create ~input:w.Workload.default_input
+            compiled.Compile.program
+        in
+        ignore
+          (Engine.run
+             ~config:(Workload.pe_config ~mode:Pe_config.Baseline w)
+             machine);
+        Machine.release machine;
+        let c = Telemetry.counter machine.Machine.telemetry in
+        (fast + c "selective.fast_insns", insns + c "taken.insns"))
+      (0, 0) Registry.perf_apps
+  in
+  Alcotest.(check int) "fast-tier instructions" 3_850_673 fast;
+  Alcotest.(check int) "simulated instructions" 3_854_427 insns;
+  Alcotest.(check bool) "fast-tier share >= 0.9790" true
+    (float_of_int fast /. float_of_int insns >= 0.9790)
+
 let tests =
   Alcotest.test_case "registry shape" `Quick test_registry_shape
   :: Alcotest.test_case "registry find" `Quick test_find
@@ -236,6 +266,8 @@ let tests =
   :: Alcotest.test_case "retired instructions -O0 vs -O2" `Quick
        test_retired_insns
   :: Alcotest.test_case "fast-tier share" `Quick test_fast_tier_share
+  :: Alcotest.test_case "iWatcher fast-tier share" `Quick
+       test_iwatcher_fast_tier_share
   :: (List.map clean_run_case Registry.all
      @ List.map output_deterministic_case Registry.all
      @ List.map pe_preserves_output_case Registry.all
